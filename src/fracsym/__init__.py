@@ -47,6 +47,7 @@ from .extension import (
 from .compare import (
     ComparisonReport,
     DominanceViolated,
+    NonFiniteData,
     dominated_compare,
     elliptic_compare,
     gamma_constant,

@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import Grid, ScalarField, build_interval, build_radial_ball, build_rectangle
+from .grid import Grid, ScalarField, build_interval, build_radial_ball, build_rectangle, write_csv
 from .rearrange import concentration, decreasing_rearrangement, profile_to_csv, curve_to_csv
 from .spectral import EigendecompositionError, IncompatibleData, build_operator
 from .extension import dtn_residual, kappa, rho_prime
-from .compare import DominanceViolated, elliptic_compare, gamma_constant
+from .compare import DominanceViolated, NonFiniteData, elliptic_compare, gamma_constant
 from .parabolic import effective_gamma, parabolic_compare
 from .sources import make_source
 from .selftest import run_suites
@@ -38,6 +38,7 @@ EXIT_NUMERICAL = 3
 _NUMERICAL_ERRORS = (
     IncompatibleData,
     DominanceViolated,
+    NonFiniteData,
     EigendecompositionError,
     np.linalg.LinAlgError,
 )
@@ -62,6 +63,14 @@ def _build_pair(cfg: ExperimentConfig):
     return grid, omega_spec, ball_spec
 
 
+def _preset(grid: Grid, cfg: ExperimentConfig, key: str, seed: int, project: bool = False):
+    """Field of the preset named by config key `key` (source, u0, forcing)."""
+    try:
+        return make_source(grid, getattr(cfg, key), seed, project=project)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -71,9 +80,7 @@ def _write_json(path: Path, payload: dict):
 
 def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
     grid, omega_spec, ball_spec = _build_pair(cfg)
-    f = make_source(
-        grid, cfg.source, cfg.seed, project=cfg.project_compatible and cfg.c == 0.0
-    )
+    f = _preset(grid, cfg, "source", cfg.seed, project=cfg.project_compatible and cfg.c == 0.0)
     report = elliptic_compare(
         omega_spec,
         ball_spec,
@@ -96,9 +103,9 @@ def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_parabolic(cfg: ExperimentConfig, out: Path) -> int:
     grid, omega_spec, ball_spec = _build_pair(cfg)
-    u0 = make_source(grid, cfg.u0, cfg.seed)
-    forcing = None if cfg.forcing in ("zero", "none") else make_source(
-        grid, cfg.forcing, cfg.seed + 1
+    u0 = _preset(grid, cfg, "u0", cfg.seed)
+    forcing = None if cfg.forcing in ("zero", "none") else _preset(
+        grid, cfg, "forcing", cfg.seed + 1
     )
     reports = parabolic_compare(
         omega_spec,
@@ -117,13 +124,11 @@ def _cmd_parabolic(cfg: ExperimentConfig, out: Path) -> int:
         "all_hold": all(r.holds for r in reports),
     }
     _write_json(out / "parabolic_report.json", payload)
-    with open(out / "parabolic_steps.csv", "w") as fh:
-        fh.write("step,t,worst_gap,tolerance,verdict\n")
-        for r in reports:
-            fh.write(
-                f"{r.params['step']},{r.params['t']!r},{float(r.worst_gap)!r},"
-                f"{float(r.tolerance)!r},{r.verdict}\n"
-            )
+    write_csv(
+        out / "parabolic_steps.csv",
+        ("step", "t", "worst_gap", "tolerance", "verdict"),
+        ((r.params["step"], r.params["t"], r.worst_gap, r.tolerance, r.verdict) for r in reports),
+    )
     worst = max(r.worst_gap for r in reports)
     print(f"steps = {len(reports)}  worst step gap = {worst:.6e}  "
           f"{'holds' if payload['all_hold'] else 'violated'}")
@@ -139,7 +144,9 @@ def _cmd_extension(cfg: ExperimentConfig, out: Path) -> int:
     all_monotone = True
     for k in nonzero:
         sq = math.sqrt(lam[k])
-        phi = spec.synthesize(np.eye(spec.n_modes)[:, k] * 1.0)
+        unit = np.zeros(spec.n_modes)
+        unit[k] = 1.0
+        phi = spec.synthesize(unit)
         sweep = [dtn_residual(spec, cfg.sigma, phi, y)[1] for y in cfg.y_sweep]
         monotone = all(a > b for a, b in zip(sweep, sweep[1:]))
         all_monotone &= monotone
@@ -147,15 +154,13 @@ def _cmd_extension(cfg: ExperimentConfig, out: Path) -> int:
         flux = -(y_probe ** (1.0 - 2.0 * cfg.sigma)) / kappa(cfg.sigma) * sq * rho_prime(
             cfg.sigma, sq * y_probe
         )
-        rows.append((int(k), lam[k], flux / lam[k] ** cfg.sigma, sweep, monotone))
+        rows.append((int(k), lam[k], flux / lam[k] ** cfg.sigma, *sweep, monotone))
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "extension_check.csv", "w") as fh:
-        fh.write("mode,lambda,flux_ratio," +
-                 ",".join(f"residual_y{y:g}" for y in cfg.y_sweep) + ",monotone\n")
-        for k, l, ratio, sweep, mono in rows:
-            fh.write(f"{k},{float(l)!r},{float(ratio)!r}," +
-                     ",".join(repr(float(v)) for v in sweep) + f",{mono}\n")
-    for k, l, ratio, sweep, mono in rows:
+    residuals = (f"residual_y{y:g}" for y in cfg.y_sweep)
+    write_csv(
+        out / "extension_check.csv", ("mode", "lambda", "flux_ratio", *residuals, "monotone"), rows
+    )
+    for k, l, ratio, *_, mono in rows:
         print(f"mode {k}: lambda = {l:.4f}  flux/lambda^sigma = {ratio:.6f}  "
               f"residual trend {'ok' if mono else 'NOT monotone'}")
     return EXIT_OK if all_monotone else EXIT_VIOLATION
@@ -167,14 +172,19 @@ def _cmd_rearrange(cfg: ExperimentConfig, out: Path, field_path: str) -> int:
     grid = _build_domain(cfg)
     raw = []
     with open(field_path) as fh:
-        for line in fh:
-            token = line.strip().split(",")[-1]
-            if not token:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
+            token = line.strip().split(",")[-1]
             try:
-                raw.append(float(token))
+                value = float(token)
             except ValueError:
-                continue  # header line
+                if lineno == 1:
+                    continue  # header
+                raise ConfigError(f"field: line {lineno}: {token!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"field: line {lineno}: non-finite value {token!r}")
+            raw.append(value)
     if len(raw) != grid.n_cells:
         raise ConfigError(
             f"field: CSV has {len(raw)} values but the grid has {grid.n_cells} cells"

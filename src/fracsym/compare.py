@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, unit_ball_measure, write_csv
 from .rearrange import (
     ConcentrationCurve,
     add_curves,
@@ -28,12 +28,15 @@ from .rearrange import (
     less_concentrated,
     median,
     median_split,
+    schwarz_rearrangement,
+    union_breakpoints,
 )
 from .spectral import SpectralOperator, solve_elliptic
 from .extension import extend
 
 __all__ = [
     "DominanceViolated",
+    "NonFiniteData",
     "YSlice",
     "ComparisonReport",
     "gamma_constant",
@@ -54,24 +57,50 @@ class DominanceViolated(ValueError):
     """The radial datum fails to dominate the rearranged source parts."""
 
 
+class NonFiniteData(ValueError):
+    """A field handed to a comparison holds NaN or infinite values."""
+
+
 def gamma_constant(dim: int, q: float) -> float:
     """Diffusion gamma = 1 / (N * omega_N^(1/N) * Q)^2 for the ball problem."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if q <= 0:
         raise ValueError(f"Q must be positive, got {q}")
-    from .grid import unit_ball_measure
-
     return 1.0 / (dim * unit_ball_measure(dim) ** (1.0 / dim) * q) ** 2
 
 
-def _check_half_measure(omega_grid: Grid, ball_grid: Grid):
+def _check_inputs(omega_grid: Grid, ball_grid: Grid, data: dict):
+    """Entry check of every comparison: |B| = |Omega|/2, and each labelled
+    field (or sequence of fields) in data is finite; None entries pass."""
     half = omega_grid.total_measure / 2.0
     if abs(ball_grid.total_measure - half) > _BALL_MEASURE_TOL * max(half, 1.0):
         raise ValueError(
             f"ball measure {ball_grid.total_measure:.12g} must equal "
             f"|Omega|/2 = {half:.12g}"
         )
+    for label, fields in data.items():
+        for fld in fields if isinstance(fields, (list, tuple)) else [fields]:
+            if fld is not None and not np.all(np.isfinite(fld.values)):
+                raise NonFiniteData(f"{label} holds non-finite values")
+
+
+def _mode(c: float) -> str:
+    return "zero_mean" if c == 0.0 else "with_c"
+
+
+def _source_parts(f: ScalarField, mode: str):
+    if mode == "zero_mean":
+        return f.positive_part(), f.negative_part()
+    if mode == "with_c":
+        return median_split(f)
+    raise ValueError(f"mode must be 'zero_mean' or 'with_c', got {mode!r}")
+
+
+def _radial_datum(parts, ball_grid: Grid) -> ScalarField:
+    """Sum of the Schwarz rearrangements of parts, each cut at |B|."""
+    first, *rest = (schwarz_rearrangement(p, ball_grid, allow_truncation=True) for p in parts)
+    return sum(rest, first)
 
 
 def symmetrized_data(f: ScalarField, ball_grid: Grid, mode: str = "zero_mean") -> ScalarField:
@@ -81,18 +110,8 @@ def symmetrized_data(f: ScalarField, ball_grid: Grid, mode: str = "zero_mean") -
     Neumann setting); mode "with_c" splits f - median(f) (the zero-order
     setting, where no compatibility holds).
     """
-    from .rearrange import schwarz_rearrangement
-
-    _check_half_measure(f.grid, ball_grid)
-    if mode == "zero_mean":
-        f1, f2 = f.positive_part(), f.negative_part()
-    elif mode == "with_c":
-        f1, f2 = median_split(f)
-    else:
-        raise ValueError(f"mode must be 'zero_mean' or 'with_c', got {mode!r}")
-    g1 = schwarz_rearrangement(f1, ball_grid, allow_truncation=True)
-    g2 = schwarz_rearrangement(f2, ball_grid, allow_truncation=True)
-    return g1 + g2
+    _check_inputs(f.grid, ball_grid, {"f": f})
+    return _radial_datum(_source_parts(f, mode), ball_grid)
 
 
 @dataclass(frozen=True)
@@ -154,14 +173,8 @@ class ComparisonReport:
             fh.write("\n")
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("y,s,U,V,chi\n")
-            for sl in self.slices:
-                for s, u, v, c in zip(sl.s, sl.U, sl.V, sl.chi):
-                    fh.write(
-                        f"{float(sl.y)!r},{float(s)!r},{float(u)!r},"
-                        f"{float(v)!r},{float(c)!r}\n"
-                    )
+        rows = ((sl.y, *pt) for sl in self.slices for pt in zip(sl.s, sl.U, sl.V, sl.chi))
+        write_csv(path, ("y", "s", "U", "V", "chi"), rows)
 
 
 def default_tolerance(omega_grid: Grid, f: ScalarField, tol_constant: float) -> float:
@@ -169,36 +182,33 @@ def default_tolerance(omega_grid: Grid, f: ScalarField, tol_constant: float) -> 
     return tol_constant * omega_grid.cell_width * f.norm(2)
 
 
+def _curve(f: ScalarField) -> ConcentrationCurve:
+    return concentration(decreasing_rearrangement(f))
+
+
 def _split_curve(w_layer: ScalarField) -> ConcentrationCurve:
     """U-curve of one layer: median split then summed rearranged integrals."""
-    lam = median(w_layer)
-    shifted = w_layer - lam
-    c1 = concentration(decreasing_rearrangement(shifted.positive_part()))
-    c2 = concentration(decreasing_rearrangement(shifted.negative_part()))
-    return add_curves(c1, c2)
+    return add_curves(*(_curve(part) for part in median_split(w_layer)))
 
 
-def _slice_from_curves(
-    y: float, u_curve: ConcentrationCurve, v_curve: ConcentrationCurve, s_hi: float
-) -> YSlice:
-    from .rearrange import union_breakpoints
+def _slices(ys, w_layers, xi_layers, u_curve) -> list:
+    """The comparison core: per height y, U = u_curve(w layer) against the
+    rearranged curve V of the xi layer, on [0, |Omega|/2]."""
+    slices = []
+    for y, w_layer, xi_layer in zip(ys, w_layers, xi_layers):
+        uc, vc = u_curve(w_layer), _curve(xi_layer)
+        s_hi = w_layer.grid.total_measure / 2.0
+        s = union_breakpoints(uc.s, vc.s)
+        s = np.concatenate([s[s < s_hi], [s_hi]])
+        slices.append(YSlice(y=float(y), s=s, U=uc.eval(s), V=vc.eval(s)))
+    return slices
 
-    s = union_breakpoints(u_curve.s, v_curve.s)
-    s = np.concatenate([s[s < s_hi], [s_hi]])
-    return YSlice(y=float(y), s=s, U=u_curve.eval(s), V=v_curve.eval(s))
 
-
-def _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples):
-    """Shared comparison core: extend both solutions and slice per height."""
+def _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples, u_curve=_split_curve):
+    """Extend both solutions and slice every height."""
     w = extend(omega_spec, sigma, u, y_samples)
     xi = extend(ball_spec, sigma, v, y_samples)
-    s_hi = omega_spec.grid.total_measure / 2.0
-    slices = []
-    for j, y in enumerate(w.y_samples):
-        u_curve = _split_curve(w.layer(j))
-        v_curve = concentration(decreasing_rearrangement(xi.layer(j)))
-        slices.append(_slice_from_curves(y, u_curve, v_curve, s_hi))
-    return slices, w, xi
+    return _slices(w.y_samples, w.layers, xi.layers, u_curve), w
 
 
 def _report(slices, tolerance, params, split_reports=()) -> ComparisonReport:
@@ -211,6 +221,18 @@ def _report(slices, tolerance, params, split_reports=()) -> ComparisonReport:
         params=params,
         split_reports=tuple(split_reports),
     )
+
+
+def _params(omega_spec, ball_spec, sigma, c, q, mode) -> dict:
+    return {
+        "sigma": float(sigma),
+        "c": float(c),
+        "gamma": float(ball_spec.gamma),
+        "Q": None if q is None else float(q),
+        "omega_grid": omega_spec.grid.to_json_dict(),
+        "ball_grid": ball_spec.grid.to_json_dict(),
+        "mode": mode,
+    }
 
 
 def _median_curve_is_flat(w, tol: float) -> bool:
@@ -237,53 +259,28 @@ def elliptic_compare(
     negative parts are additionally compared against their own radial
     problems and reported separately.
     """
-    _check_half_measure(omega_spec.grid, ball_spec.grid)
-    mode = "zero_mean" if c == 0.0 else "with_c"
+    _check_inputs(omega_spec.grid, ball_spec.grid, {"source f": f})
+    mode = _mode(c)
     u = solve_elliptic(omega_spec, sigma, c, f)
-    g = symmetrized_data(f, ball_spec.grid, mode)
-    v = solve_elliptic(ball_spec, sigma, c, g)
+    v = solve_elliptic(ball_spec, sigma, c, symmetrized_data(f, ball_spec.grid, mode))
     if tol is None:
         tol = default_tolerance(omega_spec.grid, f, tol_constant)
-    slices, w, _ = _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples)
-    params = {
-        "sigma": float(sigma),
-        "c": float(c),
-        "gamma": float(ball_spec.gamma),
-        "Q": None if q is None else float(q),
-        "omega_grid": omega_spec.grid.to_json_dict(),
-        "ball_grid": ball_spec.grid.to_json_dict(),
-        "mode": mode,
-    }
+    slices, w = _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples)
+    params = _params(omega_spec, ball_spec, sigma, c, q, mode)
     split_reports = []
     if split_mode and _median_curve_is_flat(w, tol):
         split_reports = _split_mode_reports(
-            omega_spec, ball_spec, sigma, c, f, mode, y_samples, tol, params
+            omega_spec, ball_spec, sigma, c, f, u, mode, y_samples, tol, params
         )
     return _report(slices, tol, params, split_reports)
 
 
-def _split_mode_reports(omega_spec, ball_spec, sigma, c, f, mode, y_samples, tol, params):
+def _split_mode_reports(omega_spec, ball_spec, sigma, c, f, u, mode, y_samples, tol, params):
     """Separate comparisons w_i* vs xi_i* (flat-median strengthening)."""
-    from .rearrange import schwarz_rearrangement
-
-    u = solve_elliptic(omega_spec, sigma, c, f)
-    shifted = f - median(f) if mode == "with_c" else f
-    lam_u = median(u)
     reports = []
-    for label, f_i, u_i in (
-        ("positive", shifted.positive_part(), (u - lam_u).positive_part()),
-        ("negative", shifted.negative_part(), (u - lam_u).negative_part()),
-    ):
-        g_i = schwarz_rearrangement(f_i, ball_spec.grid, allow_truncation=True)
-        v_i = solve_elliptic(ball_spec, sigma, c, g_i)
-        w_i = extend(omega_spec, sigma, u_i, y_samples)
-        xi_i = extend(ball_spec, sigma, v_i, y_samples)
-        s_hi = omega_spec.grid.total_measure / 2.0
-        slices = []
-        for j, y in enumerate(w_i.y_samples):
-            uc = concentration(decreasing_rearrangement(w_i.layer(j)))
-            vc = concentration(decreasing_rearrangement(xi_i.layer(j)))
-            slices.append(_slice_from_curves(y, uc, vc, s_hi))
+    for label, f_i, u_i in zip(("positive", "negative"), _source_parts(f, mode), median_split(u)):
+        v_i = solve_elliptic(ball_spec, sigma, c, _radial_datum([f_i], ball_spec.grid))
+        slices, _ = _compare_extensions(omega_spec, ball_spec, sigma, u_i, v_i, y_samples, _curve)
         reports.append(_report(slices, tol, {**params, "part": label}))
     return reports
 
@@ -309,22 +306,16 @@ def dominated_compare(
     g2 with (extra+)# + (extra-)# < g2.  The Omega problem is solved with
     f (+ extra), the ball problem with g (+ g2).
     """
-    from .rearrange import schwarz_rearrangement
-
-    _check_half_measure(omega_spec.grid, ball_spec.grid)
-    mode = "zero_mean" if c == 0.0 else "with_c"
-    parts = symmetrized_data(f, ball_spec.grid, mode)
-    _require_dominance(parts, g, "f1# + f2#")
+    fields = {"source f": f, "datum g": g, "extra term": extra, "datum g2": g2}
+    _check_inputs(omega_spec.grid, ball_spec.grid, fields)
+    mode = _mode(c)
+    _require_dominance(symmetrized_data(f, ball_spec.grid, mode), g, "f1# + f2#")
     datum = g
     source = f
     if extra is not None:
         if g2 is None:
             raise ValueError("an extra Omega term needs its own dominating datum g2")
-        extra_parts = schwarz_rearrangement(
-            extra.positive_part(), ball_spec.grid, allow_truncation=True
-        ) + schwarz_rearrangement(
-            extra.negative_part(), ball_spec.grid, allow_truncation=True
-        )
+        extra_parts = symmetrized_data(extra, ball_spec.grid, "zero_mean")
         _require_dominance(extra_parts, g2, "(h+)# + (h-)#")
         datum = g + g2
         source = f + extra
@@ -332,27 +323,14 @@ def dominated_compare(
     v = solve_elliptic(ball_spec, sigma, c, datum)
     if tol is None:
         tol = default_tolerance(omega_spec.grid, source, tol_constant)
-    slices, _, _ = _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples)
-    params = {
-        "sigma": float(sigma),
-        "c": float(c),
-        "gamma": float(ball_spec.gamma),
-        "Q": None if q is None else float(q),
-        "omega_grid": omega_spec.grid.to_json_dict(),
-        "ball_grid": ball_spec.grid.to_json_dict(),
-        "mode": mode,
-        "dominated": True,
-    }
+    slices, _ = _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples)
+    params = {**_params(omega_spec, ball_spec, sigma, c, q, mode), "dominated": True}
     return _report(slices, tol, params)
 
 
 def _require_dominance(parts: ScalarField, g: ScalarField, label: str):
     scale = max(g.norm(1), parts.norm(1), 1.0)
-    verdict = less_concentrated(
-        concentration(decreasing_rearrangement(parts)),
-        concentration(decreasing_rearrangement(g)),
-        tol=_PRECONDITION_SLACK * scale,
-    )
+    verdict = less_concentrated(_curve(parts), _curve(g), tol=_PRECONDITION_SLACK * scale)
     if not verdict.holds:
         raise DominanceViolated(
             f"{label} is not dominated by the radial datum "

@@ -61,6 +61,11 @@ class ExperimentConfig:
     split_mode: bool = False
 
     def validate(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            entries = val if isinstance(val, tuple) else (val,)
+            if isinstance(val, (float, tuple)) and not all(map(math.isfinite, entries)):
+                raise ConfigError(f"{f.name}: must be finite, got {val}")
         if self.domain not in ("interval", "rectangle"):
             raise ConfigError(f"domain: must be 'interval' or 'rectangle', got {self.domain!r}")
         if not 0.0 < self.sigma < 1.0:
@@ -87,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError(f"y_samples: must be nonnegative, got {self.y_samples}")
         if self.tol_constant <= 0:
             raise ConfigError(f"tol_constant: must be positive, got {self.tol_constant}")
+        if self.tol < 0:
+            raise ConfigError(f"tol: must be >= 0 (0 derives it), got {self.tol}")
         if self.modes < 1:
             raise ConfigError(f"modes: must be >= 1, got {self.modes}")
         if self.gamma_exponent not in ("sigma", "half"):

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import ScalarField
+from .grid import ScalarField, write_csv
 from .spectral import SpectralOperator, apply_fractional
 
 __all__ = [
@@ -250,8 +250,9 @@ def dtn_residual(spec: SpectralOperator, sigma: float, u: ScalarField, y_small: 
 
 def extension_to_csv(ext: ExtensionField, path):
     """Rows (y, cell, value) for visualization."""
-    with open(path, "w") as fh:
-        fh.write("y,cell,value\n")
-        for y, layer in zip(ext.y_samples, ext.layers):
-            for i, v in enumerate(layer.values):
-                fh.write(f"{float(y)!r},{i},{float(v)!r}\n")
+    rows = (
+        (y, i, v)
+        for y, layer in zip(ext.y_samples, ext.layers)
+        for i, v in enumerate(layer.values)
+    )
+    write_csv(path, ("y", "cell", "value"), rows)

@@ -20,6 +20,7 @@ __all__ = [
     "build_interval",
     "build_rectangle",
     "build_radial_ball",
+    "write_csv",
 ]
 
 
@@ -28,6 +29,17 @@ def unit_ball_measure(dim: int) -> float:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+
+
+def write_csv(path, header, rows):
+    """Header line, then one comma-separated line per row: ints, bools and
+    strings via str, every other value as repr(float(x)), which reads back
+    to the same float."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (str(x) if isinstance(x, (int, str)) else repr(float(x)) for x in row)
+            fh.write(",".join(cells) + "\n")
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField
-from .rearrange import (
-    concentration,
-    decreasing_rearrangement,
-    schwarz_rearrangement,
-)
+from .grid import Grid, ScalarField, write_csv
 from .spectral import SpectralOperator, apply_fractional
 from .compare import (
+    _check_inputs,
     _compare_extensions,
     _report,
-    _slice_from_curves,
+    _slices,
     _split_curve,
+    symmetrized_data,
 )
 
 __all__ = [
@@ -143,25 +140,14 @@ def effective_gamma(gamma: float, sigma: float, exponent: str = "sigma") -> floa
     raise ValueError(f"gamma exponent must be 'sigma' or 'half', got {exponent!r}")
 
 
-def _radial_parts(f: ScalarField, ball_grid: Grid) -> ScalarField:
-    return schwarz_rearrangement(
-        f.positive_part(), ball_grid, allow_truncation=True
-    ) + schwarz_rearrangement(f.negative_part(), ball_grid, allow_truncation=True)
-
-
 def symmetrized_parabolic_problem(u0: ScalarField, f_samples, ball_grid: Grid):
     """Initial value and per-step sources of the ball problem.
 
     v0 is the rearranged median split of u0; each source sample maps to
     (f_k+)# + (f_k-)#.
     """
-    from .rearrange import median_split
-
-    u01, u02 = median_split(u0)
-    v0 = schwarz_rearrangement(u01, ball_grid, allow_truncation=True) + schwarz_rearrangement(
-        u02, ball_grid, allow_truncation=True
-    )
-    g_samples = [_radial_parts(f_k, ball_grid) for f_k in f_samples]
+    v0 = symmetrized_data(u0, ball_grid, "with_c")
+    g_samples = [symmetrized_data(f_k, ball_grid, "zero_mean") for f_k in f_samples]
     return v0, g_samples
 
 
@@ -185,6 +171,9 @@ def parabolic_compare(
     slices of the two states as well.
     """
     omega_traj = mild_solve(omega_spec, sigma, u0, forcing, T, n, sampling)
+    _check_inputs(
+        omega_spec.grid, ball_spec.grid, {"initial value u0": u0, "forcing": omega_traj.sources}
+    )
     v0, g_samples = symmetrized_parabolic_problem(
         u0, omega_traj.sources, ball_spec.grid
     )
@@ -196,18 +185,13 @@ def parabolic_compare(
         f_scale = max((f.norm(2) for f in omega_traj.sources), default=0.0)
         scale = u0.norm(2) + T * f_scale
         tol = tol_constant * omega_spec.grid.cell_width * scale
-    s_hi = omega_spec.grid.total_measure / 2.0
     reports = []
     for k in range(1, n + 1):
         u_k, v_k = omega_traj.state(k), states_v[k]
         if y_samples is None:
-            u_curve = _split_curve(u_k)
-            v_curve = concentration(decreasing_rearrangement(v_k))
-            slices = [_slice_from_curves(0.0, u_curve, v_curve, s_hi)]
+            slices = _slices([0.0], [u_k], [v_k], _split_curve)
         else:
-            slices, _, _ = _compare_extensions(
-                omega_spec, ball_spec, sigma, u_k, v_k, y_samples
-            )
+            slices, _ = _compare_extensions(omega_spec, ball_spec, sigma, u_k, v_k, y_samples)
         params = {
             "step": k,
             "t": float(omega_traj.times[k]),
@@ -221,8 +205,9 @@ def parabolic_compare(
 
 def trajectory_to_csv(traj: Trajectory, path):
     """Rows (k, t, cell, value)."""
-    with open(path, "w") as fh:
-        fh.write("k,t,cell,value\n")
-        for k, (t, state) in enumerate(zip(traj.times, traj.states)):
-            for i, v in enumerate(state.values):
-                fh.write(f"{k},{float(t)!r},{i},{float(v)!r}\n")
+    rows = (
+        (k, t, i, v)
+        for k, (t, state) in enumerate(zip(traj.times, traj.states))
+        for i, v in enumerate(state.values)
+    )
+    write_csv(path, ("k", "t", "cell", "value"), rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, unit_ball_measure
+from .grid import Grid, ScalarField, unit_ball_measure, write_csv
 
 __all__ = [
     "RearrangedProfile",
@@ -261,14 +261,8 @@ def convex_comparison_check(
 
 def profile_to_csv(profile: RearrangedProfile, path):
     """Write (s, value) rows, one per block right edge."""
-    with open(path, "w") as fh:
-        fh.write("s,value\n")
-        for s, v in zip(profile.breaks, profile.values):
-            fh.write(f"{float(s)!r},{float(v)!r}\n")
+    write_csv(path, ("s", "value"), zip(profile.breaks, profile.values))
 
 
 def curve_to_csv(curve: ConcentrationCurve, path):
-    with open(path, "w") as fh:
-        fh.write("s,value\n")
-        for s, v in zip(curve.s, curve.F):
-            fh.write(f"{float(s)!r},{float(v)!r}\n")
+    write_csv(path, ("s", "value"), zip(curve.s, curve.F))

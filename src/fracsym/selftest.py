@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -16,7 +17,13 @@ from .rearrange import (
 )
 from .spectral import apply_fractional, build_operator, heat_semigroup, solve_elliptic
 from .extension import dtn_residual, extend, kappa, rho
-from .compare import elliptic_compare, gamma_constant, lp_check, oscillation_check
+from .compare import (
+    elliptic_compare,
+    gamma_constant,
+    lp_check,
+    oscillation_check,
+    symmetrized_data,
+)
 from .parabolic import mild_solve, parabolic_compare
 from .sources import eigenmode_source, project_zero_mean, random_band_source
 
@@ -132,8 +139,6 @@ def _elliptic_small(seed):
     rep = elliptic_compare(spec, bspec, 0.5, 0.0, f, [0.0, 0.1, 1.0], q=q)
     assert rep.holds, f"eigenmode comparison violated: gap {rep.worst_gap}"
     u = solve_elliptic(spec, 0.5, 0.0, f)
-    from .compare import symmetrized_data
-
     v = solve_elliptic(bspec, 0.5, 0.0, symmetrized_data(f, ball, "zero_mean"))
     ok, slack = oscillation_check(u, v, tol=rep.tolerance)
     assert ok, f"oscillation check failed with slack {slack}"
@@ -188,8 +193,6 @@ SUITES = [
 
 def run_suites(seed: int = 0, stream=None):
     """Run every suite; returns the number of failures."""
-    import sys
-
     stream = stream or sys.stdout
     failures = 0
     for name, fn in SUITES:

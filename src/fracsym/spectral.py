@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grid import Grid, ScalarField, unit_ball_measure
+from .grid import Grid, ScalarField, unit_ball_measure, write_csv
 
 __all__ = [
     "IncompatibleData",
@@ -142,10 +142,7 @@ class SpectralOperator:
         return ScalarField(self.grid, self.eigenvectors @ coeffs)
 
     def spectrum_to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("k,eigenvalue\n")
-            for k, lam in enumerate(self.eigenvalues):
-                fh.write(f"{k},{float(lam)!r}\n")
+        write_csv(path, ("k", "eigenvalue"), enumerate(self.eigenvalues))
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

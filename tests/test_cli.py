@@ -26,7 +26,21 @@ class TestConfig:
         assert load_config(None, []).q_value() == pytest.approx(2**-0.5)
 
     @pytest.mark.parametrize(
-        "override", ["sigma=1.5", "sigma=0", "c=-1", "steps=0", "T=-2", "n=1", "domain=torus"]
+        "override",
+        [
+            "sigma=1.5",
+            "sigma=0",
+            "c=-1",
+            "steps=0",
+            "T=-2",
+            "n=1",
+            "domain=torus",
+            "tol=-1",
+            "c=nan",
+            "tol_constant=nan",
+            "y_samples=nan",
+            "gamma=inf",
+        ],
     )
     def test_rejections_name_field(self, override):
         with pytest.raises(ConfigError) as err:
@@ -65,6 +79,11 @@ class TestEllipticCommand:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["elliptic-compare", "--out", str(tmp_path), "sigma=1.5"]) == 2
         assert "sigma" in capsys.readouterr().err
+
+    def test_non_finite_source_exit_code(self, tmp_path, capsys):
+        code = main(["elliptic-compare", "--out", str(tmp_path), "n=12", "source=constant:nan"])
+        assert code == 3
+        assert "source" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path):
         # constant source with projection off violates compatibility at c = 0
@@ -149,12 +168,44 @@ class TestRearrangeCommand:
         assert values == sorted(values, reverse=True)
         assert (tmp_path / "curve.csv").exists()
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("value\n1.0\nabc\n2.0\n", 3),
+            ("1.0\nvalue\n2.0\n", 2),
+            ("value\n1.0\nnan\n", 3),
+            ("1.0\n-inf\n", 2),
+            ("0,1.0\n1,\n", 2),
+        ],
+    )
+    def test_strict_rows(self, tmp_path, capsys, body, line):
+        field = tmp_path / "field.csv"
+        field.write_text(body)
+        assert main(
+            ["rearrange", "--field", str(field), "--out", str(tmp_path), "domain=interval", "n=3"]
+        ) == 2
+        assert f"line {line}" in capsys.readouterr().err
+
     def test_wrong_length_rejected(self, tmp_path):
         field = tmp_path / "field.csv"
         field.write_text("1.0\n2.0\n")
         assert main(
             ["rearrange", "--field", str(field), "--out", str(tmp_path), "domain=interval", "n=16"]
         ) == 2
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("elliptic-compare", "source=foo"),
+        ("elliptic-compare", "source=eigenmode:x"),
+        ("parabolic-compare", "u0=foo"),
+        ("parabolic-compare", "forcing=foo"),
+    ],
+)
+def test_unknown_preset_is_config_error(tmp_path, capsys, command, override):
+    assert main([command, "--out", str(tmp_path), "n=12", override]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
 
 
 def test_selftest_passes():

@@ -7,6 +7,7 @@ import pytest
 from fracsym import (
     DominanceViolated,
     IncompatibleData,
+    NonFiniteData,
     ScalarField,
     build_interval,
     build_operator,
@@ -127,6 +128,12 @@ class TestEllipticCompare:
         with pytest.raises(IncompatibleData):
             elliptic_compare(omega, bspec, 0.5, 0.0, one, [0.0], q=SQUARE_Q)
 
+    def test_non_finite_source_rejected(self, square_pair):
+        grid, omega, bspec = square_pair
+        f = eigenmode_source(grid, 1) * math.nan
+        with pytest.raises(NonFiniteData, match="source f"):
+            elliptic_compare(omega, bspec, 0.5, 0.0, f, [0.0], q=SQUARE_Q)
+
     def test_gap_shrinks_under_refinement(self):
         gaps = []
         for n in (12, 24):
@@ -223,6 +230,26 @@ class TestDominatedCompare:
         g = ScalarField(bspec.grid, np.full(bspec.grid.n_cells, 1e-8))
         with pytest.raises(DominanceViolated):
             dominated_compare(omega, bspec, 0.5, 0.0, f, g, [0.0], q=SQUARE_Q)
+
+    @pytest.mark.parametrize("bad", ["f", "g", "extra", "g2"])
+    def test_non_finite_field_rejected(self, square_pair, bad):
+        grid, omega, bspec = square_pair
+        data = {"f": eigenmode_source(grid, 1), "extra": eigenmode_source(grid, 2)}
+        data["g"] = symmetrized_data(data["f"], bspec.grid)
+        data["g2"] = symmetrized_data(data["extra"], bspec.grid)
+        data[bad] = data[bad] * math.inf
+        with pytest.raises(NonFiniteData, match=bad):
+            dominated_compare(
+                omega,
+                bspec,
+                0.5,
+                0.0,
+                data["f"],
+                data["g"],
+                [0.0],
+                extra=data["extra"],
+                g2=data["g2"],
+            )
 
     def test_extra_term_needs_companion(self, square_pair):
         grid, omega, bspec = square_pair

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracsym import (
+    NonFiniteData,
     ScalarField,
     build_interval,
     build_operator,
@@ -183,6 +184,19 @@ class TestParabolicCompare:
         reports = parabolic_compare(spec, bspec, 0.5, const, None, 1.0, 4)
         # spectral synthesis leaves fp dust on the constant state
         assert all(r.holds and r.worst_gap <= 1e-12 for r in reports)
+
+    @pytest.mark.parametrize("bad", ["u0", "forcing"])
+    def test_non_finite_data_rejected(self, spec, bad):
+        bspec = build_operator(build_radial_ball(64, 1, 0.5), gamma_constant(1, 1.0))
+        data = {"u0": mode_field(spec, 1), "forcing": mode_field(spec, 2)}
+        data[bad] = data[bad] * math.nan
+        with pytest.raises(NonFiniteData, match=bad):
+            parabolic_compare(spec, bspec, 0.5, data["u0"], data["forcing"], 1.0, 2)
+
+    def test_rejects_wrong_ball_measure(self, spec):
+        bspec = build_operator(build_radial_ball(64, 1, 0.4), gamma_constant(1, 1.0))
+        with pytest.raises(ValueError, match="ball measure"):
+            parabolic_compare(spec, bspec, 0.5, mode_field(spec, 1), None, 1.0, 2)
 
     def test_eigenmode_square(self):
         grid = build_rectangle(16, 16, 1.0, 1.0, "neumann")
