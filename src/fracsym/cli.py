@@ -7,7 +7,7 @@ identical config + seed reproduces them byte for byte) with CSV curves for
 plotting.
 
 Exit codes: 0 success/verdict holds, 1 verdict violation or selftest
-failure, 2 configuration error, 3 numerical failure.
+failure, 2 configuration or i/o error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -252,6 +252,9 @@ def main(argv=None) -> int:
         return _cmd_selftest(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -85,6 +85,13 @@ def _check_inputs(omega_grid: Grid, ball_grid: Grid, data: dict):
                 raise NonFiniteData(f"{label} holds non-finite values")
 
 
+def _overflow_checked(fn):
+    """Run a comparison without numpy's overflow/invalid warnings: finite
+    but huge data (a source of 1e300, T = 1e308) may still overflow, and
+    _report turns any non-finite gap or tolerance into NonFiniteData."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
+
+
 def _mode(c: float) -> str:
     return "zero_mean" if c == 0.0 else "with_c"
 
@@ -212,6 +219,13 @@ def _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples, u_curve=_
 
 
 def _report(slices, tolerance, params, split_reports=()) -> ComparisonReport:
+    """Verdict worst gap <= tolerance; a gap or tolerance that overflowed
+    raises NonFiniteData instead of giving a verdict."""
+    for sl in slices:
+        if not np.all(np.isfinite(sl.chi)):
+            raise NonFiniteData(f"concentration gap at y = {sl.y:g} is not finite")
+    if not math.isfinite(tolerance):
+        raise NonFiniteData(f"tolerance {tolerance} is not finite")
     worst = max(sl.gap for sl in slices)
     return ComparisonReport(
         slices=tuple(slices),
@@ -240,6 +254,7 @@ def _median_curve_is_flat(w, tol: float) -> bool:
     return max(meds) - min(meds) <= tol
 
 
+@_overflow_checked
 def elliptic_compare(
     omega_spec: SpectralOperator,
     ball_spec: SpectralOperator,
@@ -285,6 +300,7 @@ def _split_mode_reports(omega_spec, ball_spec, sigma, c, f, u, mode, y_samples, 
     return reports
 
 
+@_overflow_checked
 def dominated_compare(
     omega_spec: SpectralOperator,
     ball_spec: SpectralOperator,

@@ -7,24 +7,23 @@ boundary coefficients, where rho solves
     rho'' + ((1 - 2*sigma)/t) rho' = rho,   rho(0) = 1,
     -lim_{t->0} t^(1-2*sigma) rho'(t) = kappa(sigma).
 
-rho is evaluated by adaptive quadrature of the subordination integral
+Its solution is the Bessel closed form (Stinga-Torrea 2010,
+Caffarelli-Silvestre 2007)
 
-    rho(t) = t^(2s) / (4^s Gamma(s)) * int_0^inf exp(-t^2/(4u) - u) u^(-1-s) du
+    rho(t)  =  2^(1-s)/Gamma(s) * t^s * K_s(t),
+    rho'(t) = -2^(1-s)/Gamma(s) * t^s * K_{1-s}(t),
 
-rather than by ODE shooting: the flux condition at t = 0 is singular and
-quadrature sidesteps it (the ODE is only used as a residual test).  The
-derivative reuses the same kernel at the mirrored exponent,
-rho'(t) = -t / (2 Gamma(s)) * I_{1-s}(t).
+evaluated vectorized through the exponentially scaled kve, with the t = 0
+limits as exact special cases.  The ODE is only used as a residual test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import kve
 
 from .grid import ScalarField, write_csv
 from .spectral import SpectralOperator, apply_fractional
@@ -42,9 +41,6 @@ __all__ = [
     "dtn_residual",
     "extension_to_csv",
 ]
-
-# exp(-745) underflows to 0.0; beyond that the profile is an exact double 0
-_UNDERFLOW_T = 745.0
 
 
 def _check_open_sigma(sigma: float):
@@ -70,86 +66,40 @@ def beta(sigma: float) -> float:
     return (2.0 * sigma) ** (2.0 * sigma - 1.0) * kappa(sigma)
 
 
-def _subordination_integrand(v: float, expo: float, t: float) -> float:
-    # cosh overflows past ~710; there t*(cosh(v)-1) has long underflowed the result
-    if abs(v) >= 700.0:
-        return 0.0
-    arg = t * (math.cosh(v) - 1.0) + expo * v
-    if arg > _UNDERFLOW_T:
-        return 0.0
-    return math.exp(-arg)
+def _bessel_profile(sigma: float, t, order: float, sign: float, at_zero: float):
+    """sign * 2^(1-s)/Gamma(s) * t^s * K_order(t) for t > 0, at_zero at t = 0.
 
-
-@lru_cache(maxsize=1 << 18)
-def _subordination_integral(expo: float, t: float) -> float:
-    """exp(t) * (t/2)^expo * int_0^inf exp(-t^2/(4u) - u) u^(-1-expo) du.
-
-    The substitution u = (t/2) exp(v) spreads the sharp small-u spike of the
-    kernel over a log scale and factors out the exp(-t) tail, leaving the
-    smooth integrand exp(-t(cosh v - 1) - expo*v) that quad resolves to full
-    relative accuracy for any t > 0.
+    K_order(t) is computed as kve(order, t) * exp(-t), kve being the
+    exponentially scaled K, so the product underflows cleanly to 0.0 for
+    large t.  t = 0 never reaches kve, where t^s * K(t)
+    would be 0 * inf; a NaN does, and stays NaN.
     """
-    val, _ = quad(
-        _subordination_integrand,
-        -np.inf,
-        np.inf,
-        args=(expo, t),
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return val
-
-
-@lru_cache(maxsize=1 << 18)
-def _rho_scalar(sigma: float, t: float) -> float:
-    if t == 0.0:
-        return 1.0
-    if t >= _UNDERFLOW_T:
-        return 0.0
-    scale = (0.5 * t) ** sigma / math.gamma(sigma)
-    return scale * math.exp(-t) * _subordination_integral(sigma, t)
-
-
-@lru_cache(maxsize=1 << 18)
-def _rho_prime_scalar(sigma: float, t: float) -> float:
-    if t == 0.0:
-        if sigma > 0.5:
-            return 0.0
-        if sigma == 0.5:
-            return -1.0
-        return -math.inf
-    if t >= _UNDERFLOW_T:
-        return 0.0
-    # rho'(t) = -t/(2 Gamma(s)) * I_{1-s}(t): same kernel, mirrored exponent
-    scale = -((0.5 * t) ** sigma) / math.gamma(sigma)
-    return scale * math.exp(-t) * _subordination_integral(1.0 - sigma, t)
+    _check_open_sigma(sigma)
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError(f"t must be nonnegative, got {t_arr.min()}")
+    out = np.full(t_arr.shape, at_zero)
+    pos = t_arr != 0.0
+    tp = t_arr[pos]
+    scale = sign * 2.0 ** (1.0 - sigma) / math.gamma(sigma)
+    out[pos] = scale * tp**sigma * kve(order, tp) * np.exp(-tp)
+    return out if out.ndim else float(out)
 
 
 def rho(sigma: float, t):
-    """Extension profile rho(t); accepts a scalar or an array of t >= 0."""
-    _check_open_sigma(sigma)
-    if np.ndim(t) == 0:
-        if t < 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-        return _rho_scalar(sigma, float(t))
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
-    return np.array([_rho_scalar(sigma, float(x)) for x in t_arr])
+    """Extension profile rho(t) = 2^(1-s)/Gamma(s) t^s K_s(t); accepts a
+    scalar or an array of t >= 0."""
+    return _bessel_profile(sigma, t, sigma, 1.0, 1.0)
 
 
 def rho_prime(sigma: float, t):
-    """d rho / dt; negative on (0, inf)."""
-    _check_open_sigma(sigma)
-    if np.ndim(t) == 0:
-        if t < 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-        return _rho_prime_scalar(sigma, float(t))
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be nonnegative")
-    return np.array([_rho_prime_scalar(sigma, float(x)) for x in t_arr])
+    """d rho / dt = -2^(1-s)/Gamma(s) t^s K_{1-s}(t); negative on (0, inf).
+
+    Near 0, rho'(t) ~ -kappa(s) t^(2s-1), so rho'(0) is 0, -1 or -inf for
+    s above, at or below 1/2.
+    """
+    at_zero = 0.0 if sigma > 0.5 else -1.0 if sigma == 0.5 else -math.inf
+    return _bessel_profile(sigma, t, 1.0 - sigma, -1.0, at_zero)
 
 
 def z_of_y(sigma: float, y):

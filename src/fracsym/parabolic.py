@@ -18,6 +18,7 @@ from .spectral import SpectralOperator, apply_fractional
 from .compare import (
     _check_inputs,
     _compare_extensions,
+    _overflow_checked,
     _report,
     _slices,
     _split_curve,
@@ -151,6 +152,7 @@ def symmetrized_parabolic_problem(u0: ScalarField, f_samples, ball_grid: Grid):
     return v0, g_samples
 
 
+@_overflow_checked
 def parabolic_compare(
     omega_spec: SpectralOperator,
     ball_spec: SpectralOperator,
@@ -170,10 +172,12 @@ def parabolic_compare(
     concentration slice and, when y_samples is given, extension-level
     slices of the two states as well.
     """
-    omega_traj = mild_solve(omega_spec, sigma, u0, forcing, T, n, sampling)
+    fixed_forcing = forcing if isinstance(forcing, ScalarField) else None
     _check_inputs(
-        omega_spec.grid, ball_spec.grid, {"initial value u0": u0, "forcing": omega_traj.sources}
+        omega_spec.grid, ball_spec.grid, {"initial value u0": u0, "forcing": fixed_forcing}
     )
+    omega_traj = mild_solve(omega_spec, sigma, u0, forcing, T, n, sampling)
+    _check_inputs(omega_spec.grid, ball_spec.grid, {"forcing": omega_traj.sources})
     v0, g_samples = symmetrized_parabolic_problem(
         u0, omega_traj.sources, ball_spec.grid
     )

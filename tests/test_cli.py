@@ -85,6 +85,19 @@ class TestEllipticCommand:
         assert code == 3
         assert "source" in capsys.readouterr().err
 
+    def test_overflowing_tolerance_exit_code(self, tmp_path, capsys):
+        code = main(
+            ["elliptic-compare", "--out", str(tmp_path), "n=12", "source=constant:1e300", "c=1"]
+        )
+        assert code == 3
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_out_is_a_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["elliptic-compare", "--out", str(out), "n=12"]) == 2
+        assert str(out) in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self, tmp_path):
         # constant source with projection off violates compatibility at c = 0
         code = main(
@@ -130,6 +143,19 @@ class TestParabolicCommand:
         lines = (tmp_path / "parabolic_steps.csv").read_text().strip().splitlines()
         assert lines[0] == "step,t,worst_gap,tolerance,verdict"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            (["forcing=constant:inf"], "forcing"),
+            (["T=1e308", "forcing=constant:1e300"], "not finite"),
+        ],
+    )
+    def test_non_finite_exit_code(self, tmp_path, capsys, overrides, needle):
+        args = ["parabolic-compare", "--out", str(tmp_path), "n=12", "steps=2", *overrides]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert needle in err and "Warning" not in err
 
     def test_zero_steps_rejected(self, tmp_path):
         assert main(["parabolic-compare", "--out", str(tmp_path), "steps=0"]) == 2
@@ -185,6 +211,13 @@ class TestRearrangeCommand:
             ["rearrange", "--field", str(field), "--out", str(tmp_path), "domain=interval", "n=3"]
         ) == 2
         assert f"line {line}" in capsys.readouterr().err
+
+    def test_missing_field_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(
+            ["rearrange", "--field", str(missing), "--out", str(tmp_path), "domain=interval", "n=8"]
+        ) == 2
+        assert str(missing) in capsys.readouterr().err
 
     def test_wrong_length_rejected(self, tmp_path):
         field = tmp_path / "field.csv"

@@ -134,6 +134,13 @@ class TestEllipticCompare:
         with pytest.raises(NonFiniteData, match="source f"):
             elliptic_compare(omega, bspec, 0.5, 0.0, f, [0.0], q=SQUARE_Q)
 
+    def test_overflowing_tolerance_rejected(self, square_pair):
+        # finite source whose norm overflows the derived tolerance
+        grid, omega, bspec = square_pair
+        huge = ScalarField(grid, np.full(grid.n_cells, 1e300))
+        with pytest.raises(NonFiniteData, match="tolerance"):
+            elliptic_compare(omega, bspec, 0.5, 1.0, huge, [0.0], q=SQUARE_Q)
+
     def test_gap_shrinks_under_refinement(self):
         gaps = []
         for n in (12, 24):

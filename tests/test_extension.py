@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from fracsym import (
     ScalarField,
@@ -22,6 +25,27 @@ from fracsym import (
 @pytest.fixture(scope="module")
 def spec():
     return build_operator(build_interval(64, 1.0, "neumann"))
+
+
+def subordination(sigma, t, expo):
+    """(t/2)^s / Gamma(s) * int exp(-t cosh v - expo v) dv by adaptive quadrature.
+
+    This is the subordination integral
+    t^(2s) / (4^s Gamma(s)) * int_0^inf exp(-t^2/(4u) - u) u^(-1-expo) du
+    after u = (t/2) e^v, an independent second method for the profile:
+    expo = s gives rho(t) and expo = 1 - s gives -rho'(t).  The log scale
+    spreads the sharp small-u spike, and exp(-t) is factored out so the
+    integrand exp(-t (cosh v - 1) - expo v) is O(1) for any t > 0.
+    """
+
+    def integrand(v):
+        if abs(v) >= 700.0:  # cosh overflows; the integrand has long underflowed
+            return 0.0
+        arg = t * (math.cosh(v) - 1.0) + expo * v
+        return math.exp(-arg) if arg < 745.0 else 0.0
+
+    val, _ = quad(integrand, -np.inf, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
+    return (0.5 * t) ** sigma / math.gamma(sigma) * math.exp(-t) * val
 
 
 def mode_field(spec, k):
@@ -101,6 +125,49 @@ class TestRho:
                 d = 1e-5
                 fd = (rho(sigma, t + d) - rho(sigma, t - d)) / (2 * d)
                 assert rho_prime(sigma, t) == pytest.approx(fd, rel=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.floats(0.05, 0.95),
+        t=st.floats(-8.0, math.log10(700.0)).map(lambda e: min(10.0**e, 700.0)),
+    )
+    def test_subordination_oracle(self, sigma, t):
+        assert rho(sigma, t) == pytest.approx(subordination(sigma, t, sigma), rel=1e-10)
+        assert rho_prime(sigma, t) == pytest.approx(
+            -subordination(sigma, t, 1.0 - sigma), rel=1e-10
+        )
+
+    def test_scalar_and_array_types(self):
+        for fn in (rho, rho_prime):
+            assert type(fn(0.3, 1.5)) is float
+            assert type(fn(0.3, np.float64(1.5))) is float
+            out = fn(0.3, [0.5, 1.5])
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+    def test_exact_limits_at_zero(self):
+        for sigma, slope in ((0.25, -math.inf), (0.5, -1.0), (0.75, 0.0)):
+            assert rho_prime(sigma, 0.0) == slope
+            assert rho_prime(sigma, np.zeros(2)).tolist() == [slope, slope]
+
+    def test_underflow_is_exact_zero_without_warning(self):
+        for sigma in (0.25, 0.5, 0.75):
+            assert rho(sigma, 800.0) == 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert rho(sigma, np.array([0.0, 800.0])).tolist() == [1.0, 0.0]
+                assert rho_prime(sigma, np.array([0.0, 800.0]))[1] == 0.0
+
+    @pytest.mark.parametrize("t", [-1e-3, [1.0, -2.0]])
+    def test_negative_t_rejected(self, t):
+        for fn in (rho, rho_prime):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(0.5, t)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_sigma_domain(self, sigma):
+        for fn in (rho, rho_prime):
+            with pytest.raises(ValueError, match="sigma"):
+                fn(sigma, 1.0)
 
     def test_flux_constant_recovered(self):
         # -t^(1-2s) rho'(t) -> kappa(s) as t -> 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,25 @@ class TestParabolicCompare:
         data[bad] = data[bad] * math.nan
         with pytest.raises(NonFiniteData, match=bad):
             parabolic_compare(spec, bspec, 0.5, data["u0"], data["forcing"], 1.0, 2)
+
+    @pytest.mark.parametrize("bad", ["u0", "forcing"])
+    def test_fixed_data_checked_before_transform(self, spec, bad):
+        bspec = build_operator(build_radial_ball(64, 1, 0.5), gamma_constant(1, 1.0))
+        data = {"u0": mode_field(spec, 1), "forcing": mode_field(spec, 2)}
+        data[bad] = ScalarField(spec.grid, np.full(spec.grid.n_cells, math.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteData, match=bad):
+                parabolic_compare(spec, bspec, 0.5, data["u0"], data["forcing"], 1.0, 2)
+
+    def test_overflowing_gap_rejected(self, spec):
+        # finite data whose steps overflow: h * f_k = 5e607
+        bspec = build_operator(build_radial_ball(64, 1, 0.5), gamma_constant(1, 1.0))
+        huge = ScalarField(spec.grid, np.full(spec.grid.n_cells, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteData, match="not finite"):
+                parabolic_compare(spec, bspec, 0.5, mode_field(spec, 1), huge, 1e308, 2)
 
     def test_rejects_wrong_ball_measure(self, spec):
         bspec = build_operator(build_radial_ball(64, 1, 0.4), gamma_constant(1, 1.0))
