@@ -214,8 +214,12 @@ class ScalarField:
             return float(np.max(np.abs(self.values))) if self.values.size else 0.0
         if p < 1:
             raise ValueError(f"p must be >= 1 or inf, got {p}")
-        a = np.abs(self.values) ** p
-        return float(np.dot(a, self.grid.measures) ** (1.0 / p))
+        a = np.abs(self.values)
+        top = float(np.max(a)) if a.size else 0.0
+        if top == 0.0 or not math.isfinite(top):
+            return top
+        # scaled by the max so that |v|^p cannot overflow for finite values
+        return top * float(np.dot((a / top) ** p, self.grid.measures) ** (1.0 / p))
 
     def positive_part(self) -> "ScalarField":
         return ScalarField(self.grid, np.maximum(self.values, 0.0))

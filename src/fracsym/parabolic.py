@@ -145,11 +145,15 @@ def symmetrized_parabolic_problem(u0: ScalarField, f_samples, ball_grid: Grid):
     """Initial value and per-step sources of the ball problem.
 
     v0 is the rearranged median split of u0; each source sample maps to
-    (f_k+)# + (f_k-)#.
+    (f_k+)# + (f_k-)#, computed once per distinct sample object (a
+    time-constant forcing is one object repeated at every step).
     """
     v0 = symmetrized_data(u0, ball_grid, "with_c")
-    g_samples = [symmetrized_data(f_k, ball_grid, "zero_mean") for f_k in f_samples]
-    return v0, g_samples
+    radial = {}
+    for f_k in f_samples:
+        if id(f_k) not in radial:
+            radial[id(f_k)] = symmetrized_data(f_k, ball_grid, "zero_mean")
+    return v0, [radial[id(f_k)] for f_k in f_samples]
 
 
 @_overflow_checked

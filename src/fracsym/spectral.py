@@ -2,17 +2,22 @@
 machinery: fractional powers, elliptic solvers and the heat semigroup.
 
 Operators act on cell values and are symmetric in the measure-weighted
-inner product <u, v> = sum(u * v * measure).  Eigendecompositions are dense
-(grids are capped near 1e4 unknowns); rectangles get an exact tensor-product
-fast path, with the generic dense route kept for validation.
+inner product <u, v> = sum(u * v * measure).  Interval and rectangle boxes
+are matrix-free: their cell-centred stencils are diagonalised exactly by the
+orthonormal DCT-II (Neumann) and DST-II (Dirichlet), so the spectrum is a
+closed form and each transform is one scipy.fft call.  The radial ball, and
+the dense assemble_laplacian/eigendecompose route kept as the oracle for the
+boxes, use a dense symmetric eigendecomposition capped at DENSE_CAP unknowns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .grid import Grid, ScalarField, unit_ball_measure, write_csv
@@ -116,19 +121,70 @@ def assemble_laplacian(grid: Grid, gamma: float = 1.0) -> DiscreteLaplacian:
 
 
 @dataclass(frozen=True)
+class _DenseBasis:
+    """Weighted-orthonormal eigenvectors, one mode per column."""
+
+    eigenvectors: np.ndarray  # (n_cells, n_modes), read-only
+    measures: np.ndarray
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return self.eigenvectors.T @ (values * self.measures)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.eigenvectors @ coeffs
+
+
+@dataclass(frozen=True)
+class _BoxBasis:
+    """Tensor cosine (Neumann) or sine (Dirichlet) modes of a uniform box,
+    applied by the orthonormal type-II transform over every axis.
+
+    Mode k is transform vector order[k] divided by sqrt(cell measure), so it
+    is weighted-orthonormal and positive in cell 0.
+    """
+
+    shape: tuple
+    bc: str
+    order: np.ndarray  # flat transform index of each mode
+    sqrt_measure: float
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        transform = scipy.fft.dctn if self.bc == "neumann" else scipy.fft.dstn
+        spectrum = transform(values.reshape(self.shape), type=2, norm="ortho")
+        return (spectrum * self.sqrt_measure).ravel()[self.order]
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        transform = scipy.fft.idctn if self.bc == "neumann" else scipy.fft.idstn
+        spectrum = np.empty(self.order.size)
+        spectrum[self.order] = coeffs
+        values = transform(spectrum.reshape(self.shape), type=2, norm="ortho")
+        return values.ravel() / self.sqrt_measure
+
+
+@dataclass(frozen=True)
 class SpectralOperator:
-    """Eigenvalues (ascending, >= 0) and eigenvectors of a discrete
-    Laplacian, orthonormal in the measure-weighted inner product."""
+    """Eigenvalues (ascending, >= 0) of a discrete Laplacian and the
+    transforms to and from its modes, which are orthonormal in the
+    measure-weighted inner product.
+
+    Boxes apply their modes matrix-free; the radial ball and the dense
+    oracle hold them as a matrix, exposed as `eigenvectors`.
+    """
 
     grid: Grid
     gamma: float
     bc: str
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # (n_cells, n_modes), one mode per column
+    basis: object  # _DenseBasis | _BoxBasis
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """(n_cells, n_modes) mode matrix of a dense basis; a box has none
+        (AttributeError)."""
+        return self.basis.eigenvectors
 
     @property
     def n_modes(self) -> int:
@@ -136,10 +192,10 @@ class SpectralOperator:
 
     def coefficients(self, field: ScalarField) -> np.ndarray:
         """Weighted inner products <field, phi_k> for every mode."""
-        return self.eigenvectors.T @ (field.values * self.grid.measures)
+        return self.basis.forward(field.values)
 
     def synthesize(self, coeffs: np.ndarray) -> ScalarField:
-        return ScalarField(self.grid, self.eigenvectors @ coeffs)
+        return ScalarField(self.grid, self.basis.inverse(coeffs))
 
     def spectrum_to_csv(self, path):
         write_csv(path, ("k", "eigenvalue"), enumerate(self.eigenvalues))
@@ -187,10 +243,10 @@ def eigendecompose(op: DiscreteLaplacian) -> SpectralOperator:
     b = 0.5 * (b + b.T)
     lam, psi = scipy.linalg.eigh(b)
     vecs = _fix_signs(psi / sqrt_m[:, None])
+    vecs.setflags(write=False)
     lam = _clamp_spectrum(lam, op.bc)
-    spec = SpectralOperator(
-        grid=op.grid, gamma=op.gamma, bc=op.bc, eigenvalues=lam, eigenvectors=vecs
-    )
+    basis = _DenseBasis(eigenvectors=vecs, measures=op.grid.measures)
+    spec = SpectralOperator(op.grid, op.gamma, op.bc, lam, basis)
     _check_residuals(op.matrix, spec)
     return spec
 
@@ -203,37 +259,33 @@ def _check_residuals(matrix: np.ndarray, spec: SpectralOperator):
         raise EigendecompositionError(f"eigenpair residual {worst:.3e} too large")
 
 
-def _eigh_1d(n: int, length: float, bc: str, gamma: float):
-    h = length / n
-    lam, psi = scipy.linalg.eigh(gamma * _tridiag_1d(n, h, bc))
-    # uniform 1D weights h: psi orthonormal in R^n -> divide by sqrt(h)
-    return _clamp_spectrum(lam, bc), psi / math.sqrt(h)
+def _box_operator(grid: Grid, gamma: float) -> SpectralOperator:
+    """Closed-form spectrum of a uniform box: the cell-centred stencil of
+    _tridiag_1d has eigenvalues (2 - 2cos(pi k/n))/h^2 per axis, with
+    k = 0..n-1 (Neumann, DCT-II modes) or k = 1..n (Dirichlet, DST-II
+    modes).  Modes are ordered by (lambda, i, j); the Neumann kernel is
+    mode 0 with lambda exactly 0."""
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    first = 0 if grid.bc == "neumann" else 1
+    axis_lams = []
+    for n, length in zip(grid.shape, grid.lengths):
+        k = np.arange(first, n + first)
+        axis_lams.append(gamma * (2.0 - 2.0 * np.cos(math.pi * k / n)) / (length / n) ** 2)
+    lam = functools.reduce(np.add.outer, axis_lams)
+    # a stable sort breaks ties by flat index, i.e. by (i, j)
+    order = np.argsort(lam.ravel(), kind="stable")
+    basis = _BoxBasis(grid.shape, grid.bc, order, math.sqrt(grid.measures[0]))  # uniform cells
+    return SpectralOperator(grid, float(gamma), grid.bc, lam.ravel()[order], basis)
 
 
 def build_operator(grid: Grid, gamma: float = 1.0) -> SpectralOperator:
-    """Assemble + eigendecompose; rectangles use the exact tensor-product
-    composition of 1D eigenpairs instead of the O(n^3) dense path."""
-    if grid.kind != "rectangle":
-        return eigendecompose(assemble_laplacian(grid, gamma))
-    nx, ny = grid.shape
-    lx, ly = grid.lengths
-    lam_x, vx = _eigh_1d(nx, lx, grid.bc, gamma)
-    lam_y, vy = _eigh_1d(ny, ly, grid.bc, gamma)
-    lam2 = lam_x[:, None] + lam_y[None, :]
-    ii, jj = np.unravel_index(np.arange(nx * ny), (nx, ny))
-    order = np.lexsort((jj, ii, lam2.ravel()))
-    lam = lam2.ravel()[order]
-    vecs = np.empty((nx * ny, nx * ny))
-    for col, flat in enumerate(order):
-        i, j = divmod(flat, ny)
-        vecs[:, col] = np.kron(vx[:, i], vy[:, j])
-    vecs = _fix_signs(vecs)
-    if grid.bc == "neumann":
-        lam = lam.copy()
-        lam[0] = 0.0
-    return SpectralOperator(
-        grid=grid, gamma=float(gamma), bc=grid.bc, eigenvalues=lam, eigenvectors=vecs
-    )
+    """Spectral operator of -gamma * Laplacian on the grid: matrix-free
+    DCT/DST transforms on interval and rectangle boxes, the dense
+    eigendecomposition on the radial ball."""
+    if grid.kind in ("interval", "rectangle"):
+        return _box_operator(grid, gamma)
+    return eigendecompose(assemble_laplacian(grid, gamma))
 
 
 def _check_sigma(sigma: float):

@@ -87,10 +87,28 @@ class TestEllipticCommand:
 
     def test_overflowing_tolerance_exit_code(self, tmp_path, capsys):
         code = main(
-            ["elliptic-compare", "--out", str(tmp_path), "n=12", "source=constant:1e300", "c=1"]
+            [
+                "elliptic-compare",
+                "--out",
+                str(tmp_path),
+                "n=12",
+                "source=constant:1e300",
+                "c=1",
+                "tol_constant=1e300",
+            ]
         )
         assert code == 3
         assert "tolerance" in capsys.readouterr().err
+
+    def test_huge_source_gets_a_verdict(self, tmp_path):
+        code = main(
+            ["elliptic-compare", "--out", str(tmp_path), "n=12", "source=constant:1e300", "c=1"]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "elliptic_report.json").read_text())
+        assert report["verdict"] == "holds"
+        # 10 * h * ||f||_2 with h = 1/12 on the unit square
+        assert report["tolerance"] == pytest.approx(10.0 / 12.0 * 1e300, rel=1e-14)
 
     def test_out_is_a_file_exit_code(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -139,7 +139,16 @@ class TestEllipticCompare:
         grid, omega, bspec = square_pair
         huge = ScalarField(grid, np.full(grid.n_cells, 1e300))
         with pytest.raises(NonFiniteData, match="tolerance"):
-            elliptic_compare(omega, bspec, 0.5, 1.0, huge, [0.0], q=SQUARE_Q)
+            elliptic_compare(
+                omega, bspec, 0.5, 1.0, huge, [0.0], tol_constant=1e300, q=SQUARE_Q
+            )
+
+    def test_huge_source_gets_a_verdict(self, square_pair):
+        grid, omega, bspec = square_pair
+        huge = ScalarField(grid, np.full(grid.n_cells, 1e300))
+        rep = elliptic_compare(omega, bspec, 0.5, 1.0, huge, [0.0], q=SQUARE_Q)
+        assert rep.verdict == "holds"
+        assert rep.tolerance == pytest.approx(10.0 / 24.0 * 1e300, rel=1e-14)
 
     def test_gap_shrinks_under_refinement(self):
         gaps = []

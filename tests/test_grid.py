@@ -134,6 +134,13 @@ class TestScalarField:
         assert f.norm(2) == pytest.approx(math.sqrt(12.5))
         assert f.norm("inf") == 4.0
 
+    def test_norm_of_huge_field_is_finite(self):
+        # |v|^2 overflows for v = 1e300, the scaled norm does not
+        g = build_rectangle(16, 16, 2.0, 4.0)
+        f = ScalarField(g, np.full(g.n_cells, 1e300))
+        assert f.norm(2) == pytest.approx(1e300 * math.sqrt(8.0), rel=1e-15)
+        assert ScalarField(g, np.zeros(g.n_cells)).norm(2) == 0.0
+
     def test_parts(self):
         g = build_interval(2, 1.0)
         f = ScalarField(g, np.array([3.0, -4.0]))

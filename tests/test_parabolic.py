@@ -176,6 +176,25 @@ class TestSymmetrizedProblem:
         for g in gs[1:]:
             np.testing.assert_allclose(g.values, gs[0].values)
 
+    def test_each_distinct_sample_rearranged_once(self, spec, monkeypatch):
+        import fracsym.parabolic
+
+        ball = build_radial_ball(32, 1, 0.5)
+        f, g = mode_field(spec, 2), mode_field(spec, 3)
+        real = fracsym.parabolic.symmetrized_data
+        seen = []
+
+        def counted(field, *args):
+            seen.append(field)
+            return real(field, *args)
+
+        monkeypatch.setattr(fracsym.parabolic, "symmetrized_data", counted)
+        _, gs = symmetrized_parabolic_problem(mode_field(spec, 1), [f, g, f, g], ball)
+        assert len(seen) == 3  # u0, f and g
+        for sample, datum in zip([f, g, f, g], gs):
+            expected = real(sample, ball, "zero_mean")
+            np.testing.assert_array_equal(datum.values, expected.values)
+
 
 class TestParabolicCompare:
     def test_constant_initial_all_zero_gaps(self, spec):

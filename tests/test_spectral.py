@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from fracsym import (
     IncompatibleData,
@@ -56,7 +58,7 @@ class TestEigendecomposition:
     def test_neumann_kernel_mode(self, interval_neumann):
         spec = interval_neumann
         assert spec.eigenvalues[0] == 0.0
-        np.testing.assert_allclose(spec.eigenvectors[:, 0], 1.0, atol=1e-10)
+        np.testing.assert_allclose(mode_field(spec, 0).values, 1.0, atol=1e-10)
 
     def test_neumann_continuum_limit(self):
         spec = build_operator(build_interval(256, 1.0, "neumann"))
@@ -78,9 +80,14 @@ class TestEigendecomposition:
         assert np.max(np.abs(gram - np.eye(spec.n_modes))) < 1e-10
 
     def test_sign_convention_deterministic(self):
-        a = build_operator(build_interval(32, 1.0, "dirichlet"))
-        b = build_operator(build_interval(32, 1.0, "dirichlet"))
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        rng = np.random.default_rng(8)
+        for bc in ("neumann", "dirichlet"):
+            for grid in (build_interval(32, 1.0, bc), build_rectangle(8, 6, 1.0, 1.5, bc)):
+                a, b = build_operator(grid), build_operator(grid)
+                for k in range(a.n_modes):
+                    assert mode_field(a, k).values[0] > 0.0, f"{grid.kind} {bc} mode {k}"
+                u = ScalarField(grid, rng.standard_normal(grid.n_cells))
+                assert np.array_equal(a.coefficients(u), b.coefficients(u))
 
     def test_tensor_matches_dense(self):
         g = build_rectangle(7, 5, 1.0, 1.5, "neumann")
@@ -119,6 +126,80 @@ class TestEigendecomposition:
         au = apply_fractional(spec, 1.0, u)
         av = apply_fractional(spec, 1.0, v)
         assert abs(au.inner(v) - u.inner(av)) < 1e-10 * max(1.0, u.norm(2) * v.norm(2))
+
+
+@st.composite
+def boxes(draw):
+    """Interval or rectangle with 2..24 cells per side and random lengths."""
+    bc = draw(st.sampled_from(["neumann", "dirichlet"]))
+    side, length = st.integers(2, 24), st.floats(0.2, 5.0)
+    if draw(st.booleans()):
+        return build_interval(draw(side), draw(length), bc)
+    return build_rectangle(draw(side), draw(side), draw(length), draw(length), bc)
+
+
+class TestBoxMatchesDenseOracle:
+    """Matrix-free box operators against eigendecompose(assemble_laplacian)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=boxes(),
+        gamma=st.floats(0.05, 20.0),
+        sigma=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense(self, grid, gamma, sigma, t, seed):
+        box = build_operator(grid, gamma)
+        dense = eigendecompose(assemble_laplacian(grid, gamma))
+        lam_max = dense.eigenvalues[-1]
+        assert np.max(np.abs(box.eigenvalues - dense.eigenvalues)) <= 1e-12 * lam_max
+        rng = np.random.default_rng(seed)
+        u = ScalarField(grid, rng.standard_normal(grid.n_cells))
+        f = u - u.mean()
+        for op in (
+            lambda spec: apply_fractional(spec, sigma, u),
+            lambda spec: solve_elliptic(spec, sigma, 0.0, f),
+            lambda spec: solve_elliptic(spec, sigma, 0.5, u),
+            lambda spec: heat_semigroup(spec, t, u),
+        ):
+            a, b = op(box), op(dense)
+            assert (a - b).norm(2) <= 1e-10 * max(b.norm(2), u.norm(2))
+        # Within an eigenvalue cluster the modes may come in any basis of the
+        # eigenspace (exact ties such as i + j = n on squares, rotations from
+        # eigh), so each cluster's projection of u is compared, and a lone
+        # mode coefficient by coefficient.  Clusters are cut at gaps above
+        # 1e-3 * lam_max, where eigh mixes modes by at most ~1e-13.
+        cb, cd = box.coefficients(u), dense.coefficients(u)
+        cuts = np.flatnonzero(np.diff(box.eigenvalues) > 1e-3 * lam_max) + 1
+        for cluster in np.split(np.arange(box.n_modes), cuts):
+            if cluster.size == 1:
+                assert abs(cb[cluster[0]] - cd[cluster[0]]) <= 1e-10 * u.norm(2)
+            keep = np.zeros(box.n_modes)
+            keep[cluster] = 1.0
+            pa, pb = box.synthesize(cb * keep), dense.synthesize(cd * keep)
+            assert (pa - pb).norm(2) <= 1e-10 * u.norm(2)
+
+    def test_box_build_needs_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        for bc in ("neumann", "dirichlet"):
+            for grid in (build_interval(16, 1.0, bc), build_rectangle(6, 5, 1.0, 2.0, bc)):
+                assert build_operator(grid).n_modes == grid.n_cells
+        with pytest.raises(AssertionError, match="eigensolver"):
+            build_operator(build_radial_ball(8, 2, 0.5))
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_large_box_is_matrix_free(self, bc):
+        grid = build_rectangle(256, 256, 1.0, 1.0, bc)
+        spec = build_operator(grid)
+        assert not hasattr(spec, "eigenvectors")
+        rng = np.random.default_rng(9)
+        u = ScalarField(grid, rng.standard_normal(grid.n_cells))
+        back = spec.synthesize(spec.coefficients(u))
+        assert (back - u).norm(2) < 1e-12 * u.norm(2)
 
 
 class TestFractionalApply:
