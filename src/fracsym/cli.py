@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import Grid, ScalarField, build_interval, build_radial_ball, build_rectangle, write_csv
+from .grid import Grid, ScalarField, _build_box, build_radial_ball, write_csv
 from .rearrange import concentration, decreasing_rearrangement, profile_to_csv, curve_to_csv
 from .spectral import EigendecompositionError, IncompatibleData, build_operator
 from .extension import dtn_residual, kappa, rho_prime
@@ -45,11 +45,7 @@ _NUMERICAL_ERRORS = (
 
 
 def _build_domain(cfg: ExperimentConfig) -> Grid:
-    if cfg.domain == "interval":
-        return build_interval(cfg.resolution()[0], cfg.sides()[0], "neumann")
-    nx, ny = cfg.resolution()
-    lx, ly = cfg.sides()
-    return build_rectangle(nx, ny, lx, ly, "neumann")
+    return _build_box(cfg.domain, cfg.resolution(), cfg.sides(), "neumann")
 
 
 def _build_pair(cfg: ExperimentConfig):

@@ -10,6 +10,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides"]
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)  # conjectural half-cut value, overridable
 INTERVAL_Q = 1.0  # conjectural, overridable
+_AXIS_KEYS = {"n": ("nx", "ny"), "length": ("lx", "ly")}  # rectangle overrides
 
 
 class ConfigError(ValueError):
@@ -76,13 +77,16 @@ class ExperimentConfig:
             raise ConfigError(f"Q: must be positive, got {self.q}")
         if self.gamma < 0:
             raise ConfigError(f"gamma: must be positive, got {self.gamma}")
+        # checked when set, and when used even if 0: n=0 with nx, ny unset
+        # would build a grid of no cells
+        used = self._axis_keys("n") + self._axis_keys("length")
         for key in ("n", "nx", "ny", "ball_shells"):
             val = getattr(self, key)
-            if val and val < 2:
+            if (val or key in used) and val < 2:
                 raise ConfigError(f"{key}: resolutions must be >= 2, got {val}")
         for key in ("length", "lx", "ly"):
             val = getattr(self, key)
-            if val and val <= 0:
+            if (val or key in used) and val <= 0:
                 raise ConfigError(f"{key}: must be positive, got {val}")
         if self.T <= 0:
             raise ConfigError(f"T: must be positive, got {self.T}")
@@ -103,15 +107,19 @@ class ExperimentConfig:
         return self
 
     # resolved accessors -------------------------------------------------
-    def resolution(self):
+    def _axis_keys(self, base: str) -> tuple:
+        """Per axis, the key whose value is used: `base` ("n" or "length")
+        on the interval; on the rectangle the per-axis key, or `base` where
+        that key is 0 (inherit)."""
         if self.domain == "interval":
-            return (self.n,)
-        return (self.nx or self.n, self.ny or self.n)
+            return (base,)
+        return tuple(key if getattr(self, key) else base for key in _AXIS_KEYS[base])
+
+    def resolution(self):
+        return tuple(getattr(self, key) for key in self._axis_keys("n"))
 
     def sides(self):
-        if self.domain == "interval":
-            return (self.length,)
-        return (self.lx or self.length, self.ly or self.length)
+        return tuple(getattr(self, key) for key in self._axis_keys("length"))
 
     def q_value(self) -> float:
         if self.q:

@@ -1,9 +1,10 @@
 """Discretized domains and the scalar fields living on them.
 
-Three grid kinds are supported: a 1D interval and a 2D rectangle (the
-Neumann domains) and a radial ball made of spherical shells (the Dirichlet
-model domain).  Every grid carries per-cell Lebesgue measures; all
-integrals, inner products and norms are weighted by them.
+Three grid kinds are supported: the Neumann domains, a 1D interval and a
+2D rectangle, which are both uniform boxes made by one tensor-grid builder
+that loops over the axes; and a radial ball made of spherical shells (the
+Dirichlet model domain).  Every grid carries per-cell Lebesgue measures;
+all integrals, inner products and norms are weighted by them.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ class Grid:
 
     @property
     def cell_width(self) -> float:
-        """Largest per-axis cell width (the discretization scale h)."""
-        if self.kind == "rectangle":
-            return max(self.lengths[0] / self.shape[0], self.lengths[1] / self.shape[1])
-        return self.lengths[0] / self.shape[0]
+        """Largest per-axis cell width (the discretization scale h); the
+        shell width on the ball."""
+        return max(length / n for n, length in zip(self.shape, self.lengths))
 
     @property
     def max_cell_measure(self) -> float:
@@ -107,51 +107,37 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
-def build_interval(n: int, length: float, bc: str = "neumann") -> Grid:
-    """Uniform partition of [0, length] into n cells."""
-    if n < 2:
-        raise ValueError(f"need at least 2 cells, got n={n}")
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
-    h = length / n
-    centroids = ((np.arange(n) + 0.5) * h).reshape(-1, 1)
-    measures = np.full(n, h)
+def _build_box(kind: str, shape, lengths, bc: str) -> Grid:
+    """Uniform tensor grid on [0, L_1] x ... x [0, L_N]; cells ordered
+    x-major (the last axis varies fastest)."""
+    if min(shape) < 2:
+        raise ValueError(f"need at least 2 cells per side, got {tuple(shape)}")
+    if min(lengths) <= 0:
+        raise ValueError(f"side lengths must be positive, got {tuple(lengths)}")
+    lengths = tuple(float(length) for length in lengths)
+    widths = [length / n for n, length in zip(shape, lengths)]
+    axes = [(np.arange(n) + 0.5) * h for n, h in zip(shape, widths)]
+    centroids = np.column_stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")])
     return Grid(
-        kind="interval",
-        dimension=1,
-        shape=(n,),
-        lengths=(float(length),),
+        kind=kind,
+        dimension=len(shape),
+        shape=tuple(shape),
+        lengths=lengths,
         bc=_check_bc(bc),
         centroids=centroids,
-        measures=measures,
-        total_measure=float(length),
+        measures=np.full(centroids.shape[0], math.prod(widths)),
+        total_measure=math.prod(lengths),
     )
+
+
+def build_interval(n: int, length: float, bc: str = "neumann") -> Grid:
+    """Uniform partition of [0, length] into n cells."""
+    return _build_box("interval", (n,), (length,), bc)
 
 
 def build_rectangle(nx: int, ny: int, lx: float, ly: float, bc: str = "neumann") -> Grid:
-    """Tensor grid on [0, lx] x [0, ly]; cells ordered x-major."""
-    if nx < 2 or ny < 2:
-        raise ValueError(f"need at least 2 cells per side, got nx={nx}, ny={ny}")
-    if lx <= 0 or ly <= 0:
-        raise ValueError(f"side lengths must be positive, got lx={lx}, ly={ly}")
-    hx, hy = lx / nx, ly / ny
-    xs = (np.arange(nx) + 0.5) * hx
-    ys = (np.arange(ny) + 0.5) * hy
-    # cell index = ix * ny + iy
-    cx = np.repeat(xs, ny)
-    cy = np.tile(ys, nx)
-    centroids = np.column_stack([cx, cy])
-    measures = np.full(nx * ny, hx * hy)
-    return Grid(
-        kind="rectangle",
-        dimension=2,
-        shape=(nx, ny),
-        lengths=(float(lx), float(ly)),
-        bc=_check_bc(bc),
-        centroids=centroids,
-        measures=measures,
-        total_measure=float(lx) * float(ly),
-    )
+    """Tensor grid on [0, lx] x [0, ly]; cell index ix * ny + iy."""
+    return _build_box("rectangle", (nx, ny), (lx, ly), bc)
 
 
 def build_radial_ball(n: int, dim: int, target_measure: float) -> Grid:

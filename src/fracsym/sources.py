@@ -1,14 +1,18 @@
 """Analytic source-term presets.
 
-Presets are evaluated from closed-form expressions on cell centroids so the
-same continuum datum can be realized on grids of different resolution
-(needed by the refinement studies).  Random fields are seeded, band-limited
-combinations of the low analytic modes: a documented, reproducible
-generator.
+Presets are evaluated from closed-form expressions on the cells of a box
+(interval or rectangle) so the same continuum datum can be realized on
+grids of different resolution (needed by the refinement studies).  The
+analytic modes are tensor products of Neumann cosines, one factor per axis,
+and must be resolvable on the grid: a mode index at or past an axis's cell
+count is rejected rather than aliased.  Random fields are seeded,
+band-limited combinations of the low analytic modes: a documented,
+reproducible generator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,39 +29,52 @@ __all__ = [
 ]
 
 
-def _mode_table(grid: Grid, count: int):
-    """First `count` nonzero Neumann cosine modes ordered by continuum
-    eigenvalue (ties broken by index)."""
-    if grid.kind == "interval":
-        length = grid.lengths[0]
-        return [((k,), (k * math.pi / length) ** 2) for k in range(1, count + 1)]
-    if grid.kind == "rectangle":
-        lx, ly = grid.lengths
-        top = int(math.isqrt(count)) + count + 1
-        cand = []
-        for i in range(top):
-            for j in range(top):
-                if i == 0 and j == 0:
-                    continue
-                lam = (i * math.pi / lx) ** 2 + (j * math.pi / ly) ** 2
-                cand.append(((i, j), lam))
-        cand.sort(key=lambda e: (e[1], e[0]))
-        return cand[:count]
-    raise ValueError(f"no analytic modes for grid kind {grid.kind!r}")
+def _mode_table(grid: Grid, count: int) -> np.ndarray:
+    """Axis indices, one row per mode, of the first `count` nonzero Neumann
+    cosine modes of a box, ordered by continuum eigenvalue
+    sum_a (k_a pi / L_a)^2, ties broken by index.
+
+    A mode with axis index k comes after the k - 1 lower modes of that axis
+    alone, so indices up to `count` suffice.  Index n_a, one past an axis's
+    cells, is kept as a sentinel: if it is among the first `count`, some
+    wanted mode is not resolved on the grid and ValueError is raised.
+    """
+    if grid.kind == "radial_ball":
+        raise ValueError("cosine modes need a box grid, got the radial ball")
+    if count < 1:
+        raise ValueError(f"need at least one mode, got {count}")
+    # Python-float terms: numpy's x ** 2 differs from pow(x, 2) in the last
+    # bit now and then, which can reorder modes whose eigenvalues tie exactly
+    axis_lams = [
+        np.array([(k * math.pi / length) ** 2 for k in range(min(count, n) + 1)])
+        for n, length in zip(grid.shape, grid.lengths)
+    ]
+    lam = functools.reduce(np.add.outer, axis_lams)
+    # a stable sort breaks ties by flat index, i.e. by axis index; mode 0 is the constant
+    order = np.argsort(lam.ravel(), kind="stable")[1 : count + 1]
+    table = np.column_stack(np.unravel_index(order, lam.shape))
+    if np.any(table >= grid.shape):
+        raise ValueError(
+            f"the first {count} cosine modes reach axis index {table.max(axis=0).tolist()}; "
+            f"a grid of {list(grid.shape)} cells per axis resolves only smaller indices"
+        )
+    return table
 
 
-def _mode_values(grid: Grid, index) -> np.ndarray:
-    if grid.kind == "interval":
-        (k,) = index
-        length = grid.lengths[0]
-        x = grid.centroids[:, 0]
-        return math.sqrt(2.0 / length) * np.cos(k * math.pi * x / length)
-    lx, ly = grid.lengths
-    i, j = index
-    x, y = grid.centroids[:, 0], grid.centroids[:, 1]
-    cx = math.sqrt((2.0 if i else 1.0) / lx)
-    cy = math.sqrt((2.0 if j else 1.0) / ly)
-    return cx * cy * np.cos(i * math.pi * x / lx) * np.cos(j * math.pi * y / ly)
+def _mode_values(grid: Grid, table: np.ndarray) -> list:
+    """Cell values of each mode in `table`: the product over the axes of
+    sqrt((2 if k else 1) / L) cos(k pi x / L), evaluated on the axis's cell
+    centres and multiplied out by an outer product."""
+    centres = [np.unique(grid.centroids[:, a]) for a in range(grid.dimension)]
+    modes = []
+    for index in table:
+        factors = [np.cos(k * math.pi * x / length)
+                   for k, x, length in zip(index, centres, grid.lengths)]
+        scale = math.prod(math.sqrt((2.0 if k else 1.0) / length)
+                          for k, length in zip(index, grid.lengths))
+        factors[0] = scale * factors[0]
+        modes.append(functools.reduce(np.multiply.outer, factors).ravel())
+    return modes
 
 
 def constant_source(grid: Grid, value: float = 1.0) -> ScalarField:
@@ -66,38 +83,30 @@ def constant_source(grid: Grid, value: float = 1.0) -> ScalarField:
 
 def eigenmode_source(grid: Grid, k: int = 1) -> ScalarField:
     """k-th nonzero Neumann cosine mode (unit continuum L2 norm)."""
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
-    table = _mode_table(grid, k)
-    return ScalarField(grid, _mode_values(grid, table[k - 1][0]))
+    return ScalarField(grid, _mode_values(grid, _mode_table(grid, k)[-1:])[0])
 
 
 def two_bump_source(grid: Grid, width: float = 0.1) -> ScalarField:
     """Two Gaussian bumps of opposite sign on the domain diagonal."""
+    if grid.kind == "radial_ball":
+        raise ValueError("the two-bump preset needs a box grid, got the radial ball")
     scale = min(grid.lengths)
     w = width * scale
     lo = 0.3 * np.asarray(grid.lengths)
     hi = 0.7 * np.asarray(grid.lengths)
-    if grid.kind == "interval":
-        pts = grid.centroids[:, :1]
-    elif grid.kind == "rectangle":
-        pts = grid.centroids
-    else:
-        raise ValueError(f"two-bump preset needs a Neumann box grid, got {grid.kind!r}")
-    d1 = np.sum((pts - lo) ** 2, axis=1)
-    d2 = np.sum((pts - hi) ** 2, axis=1)
+    d1 = np.sum((grid.centroids - lo) ** 2, axis=1)
+    d2 = np.sum((grid.centroids - hi) ** 2, axis=1)
     return ScalarField(grid, np.exp(-d1 / (2 * w * w)) - np.exp(-d2 / (2 * w * w)))
 
 
 def random_band_source(grid: Grid, seed: int, n_modes: int = 12) -> ScalarField:
     """Seeded Gaussian combination of the first n_modes nonzero modes,
     normalized to unit weighted L2 norm."""
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(n_modes)
     table = _mode_table(grid, n_modes)
+    coeffs = np.random.default_rng(seed).standard_normal(n_modes)
     vals = np.zeros(grid.n_cells)
-    for c, (index, _) in zip(coeffs, table):
-        vals += c * _mode_values(grid, index)
+    for c, mode in zip(coeffs, _mode_values(grid, table)):
+        vals += c * mode
     f = ScalarField(grid, vals)
     nrm = f.norm(2)
     return f * (1.0 / nrm) if nrm > 0 else f

@@ -105,18 +105,14 @@ def assemble_laplacian(grid: Grid, gamma: float = 1.0) -> DiscreteLaplacian:
     condition."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if grid.kind == "interval":
-        n = grid.shape[0]
-        mat = gamma * _tridiag_1d(n, grid.lengths[0] / n, grid.bc)
-    elif grid.kind == "rectangle":
-        nx, ny = grid.shape
-        ax = _tridiag_1d(nx, grid.lengths[0] / nx, grid.bc)
-        ay = _tridiag_1d(ny, grid.lengths[1] / ny, grid.bc)
-        mat = gamma * (np.kron(ax, np.eye(ny)) + np.kron(np.eye(nx), ay))
-    elif grid.kind == "radial_ball":
+    if grid.kind == "radial_ball":
         mat = _radial_matrix(grid, gamma)
     else:
-        raise ValueError(f"unknown grid kind {grid.kind!r}")
+        # Kronecker sum over the axes of a box, x-major like its cells
+        axes = [_tridiag_1d(n, length / n, grid.bc) for n, length in zip(grid.shape, grid.lengths)]
+        mat = gamma * functools.reduce(
+            lambda a, b: np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b), axes
+        )
     return DiscreteLaplacian(grid=grid, gamma=float(gamma), bc=grid.bc, matrix=mat)
 
 
@@ -283,9 +279,9 @@ def build_operator(grid: Grid, gamma: float = 1.0) -> SpectralOperator:
     """Spectral operator of -gamma * Laplacian on the grid: matrix-free
     DCT/DST transforms on interval and rectangle boxes, the dense
     eigendecomposition on the radial ball."""
-    if grid.kind in ("interval", "rectangle"):
-        return _box_operator(grid, gamma)
-    return eigendecompose(assemble_laplacian(grid, gamma))
+    if grid.kind == "radial_ball":
+        return eigendecompose(assemble_laplacian(grid, gamma))
+    return _box_operator(grid, gamma)
 
 
 def _check_sigma(sigma: float):

@@ -40,6 +40,8 @@ class TestConfig:
             "tol_constant=nan",
             "y_samples=nan",
             "gamma=inf",
+            "n=0",
+            "length=0",
         ],
     )
     def test_rejections_name_field(self, override):
@@ -252,11 +254,28 @@ class TestRearrangeCommand:
         ("elliptic-compare", "source=eigenmode:x"),
         ("parabolic-compare", "u0=foo"),
         ("parabolic-compare", "forcing=foo"),
+        ("elliptic-compare", "source=eigenmode:200"),
+        ("elliptic-compare", "source=random:0"),
+        ("parabolic-compare", "u0=random:0"),
     ],
 )
 def test_unknown_preset_is_config_error(tmp_path, capsys, command, override):
     assert main([command, "--out", str(tmp_path), "n=12", override]) == 2
     assert override.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_unresolved_mode_exit_code(tmp_path, capsys, k):
+    # on 8 cells mode 8 vanishes and mode 9 is mode 7 with its sign flipped
+    argv = ["elliptic-compare", "--out", str(tmp_path), "domain=interval", "n=8"]
+    assert main(argv + [f"source=eigenmode:{k}"]) == 2
+    assert "source" in capsys.readouterr().err
+
+
+def test_unused_zero_resolution_is_valid(tmp_path):
+    cfg = load_config(None, ["n=0", "nx=8", "ny=8"])
+    assert cfg.resolution() == (8, 8)
+    assert main(["elliptic-compare", "--out", str(tmp_path), "n=0", "nx=8", "ny=8"]) == 0
 
 
 def test_selftest_passes():

@@ -57,6 +57,25 @@ class TestRectangle:
         with pytest.raises(ValueError):
             build_rectangle(4, 4, 1.0, 0.0)
 
+    def test_centroids_x_major(self):
+        # cell index = ix * ny + iy: y varies fastest
+        g = build_rectangle(3, 2, 3.0, 2.0)
+        expected = [[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5], [2.5, 0.5], [2.5, 1.5]]
+        assert np.array_equal(g.centroids, expected)
+
+
+@pytest.mark.parametrize(
+    "grid, width",
+    [
+        (build_interval(8, 2.0), 0.25),
+        (build_rectangle(4, 2, 1.0, 3.0), 1.5),  # the y cells are wider
+        (build_rectangle(8, 2, 4.0, 0.5), 0.5),  # the x cells are wider
+        (build_radial_ball(8, 2, math.pi), 0.125),  # shell width, radius 1
+    ],
+)
+def test_cell_width(grid, width):
+    assert grid.cell_width == width
+
 
 class TestRadialBall:
     def test_radius_one_dim(self):

@@ -18,6 +18,7 @@ from fracsym import (
     heat_semigroup,
     solve_elliptic,
 )
+from fracsym.spectral import _tridiag_1d
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,15 @@ class TestAssembly:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
             assemble_laplacian(build_interval(8, 1.0), 0.0)
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_rectangle_is_explicit_kronecker_sum(self, bc):
+        nx, ny, lx, ly, gamma = 5, 3, 2.0, 0.7, 1.3
+        ax = _tridiag_1d(nx, lx / nx, bc)
+        ay = _tridiag_1d(ny, ly / ny, bc)
+        explicit = gamma * (np.kron(ax, np.eye(ny)) + np.kron(np.eye(nx), ay))
+        op = assemble_laplacian(build_rectangle(nx, ny, lx, ly, bc), gamma)
+        assert np.array_equal(op.matrix, explicit)
 
 
 class TestEigendecomposition:
