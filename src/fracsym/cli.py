@@ -13,7 +13,6 @@ failure, 2 configuration or i/o error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import Grid, ScalarField, _build_box, build_radial_ball, write_csv
+from .grid import Grid, ScalarField, _build_box, build_radial_ball, write_csv, write_json
 from .rearrange import concentration, decreasing_rearrangement, profile_to_csv, curve_to_csv
 from .spectral import EigendecompositionError, IncompatibleData, build_operator
 from .extension import dtn_residual, kappa, rho_prime
@@ -67,13 +66,6 @@ def _preset(grid: Grid, cfg: ExperimentConfig, key: str, seed: int, project: boo
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
     grid, omega_spec, ball_spec = _build_pair(cfg)
     f = _preset(grid, cfg, "source", cfg.seed, project=cfg.project_compatible and cfg.c == 0.0)
@@ -84,14 +76,15 @@ def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
         cfg.c,
         f,
         cfg.y_samples,
-        tol=cfg.tol or None,
+        tol=cfg.tol,
         tol_constant=cfg.tol_constant,
         q=cfg.q_value(),
         split_mode=cfg.split_mode,
     )
     payload = report.to_json_dict()
     payload["config"] = cfg.to_dict()
-    _write_json(out / "elliptic_report.json", payload)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "elliptic_report.json", payload)
     report.write_csv(out / "elliptic_curves.csv")
     print(f"worst_gap = {report.worst_gap:.6e}  tol = {report.tolerance:.6e}  {report.verdict}")
     return EXIT_OK if report.holds else EXIT_VIOLATION
@@ -111,7 +104,7 @@ def _cmd_parabolic(cfg: ExperimentConfig, out: Path) -> int:
         forcing,
         cfg.T,
         cfg.steps,
-        tol=cfg.tol or None,
+        tol=cfg.tol,
         tol_constant=cfg.tol_constant,
     )
     payload = {
@@ -119,7 +112,8 @@ def _cmd_parabolic(cfg: ExperimentConfig, out: Path) -> int:
         "steps": [r.to_json_dict() for r in reports],
         "all_hold": all(r.holds for r in reports),
     }
-    _write_json(out / "parabolic_report.json", payload)
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "parabolic_report.json", payload)
     write_csv(
         out / "parabolic_steps.csv",
         ("step", "t", "worst_gap", "tolerance", "verdict"),

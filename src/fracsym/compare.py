@@ -13,13 +13,12 @@ tol = C_tol * h * ||f||_2 (first order in the cell size).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, ScalarField, unit_ball_measure, write_csv
+from .grid import Grid, ScalarField, unit_ball_measure, write_csv, write_json
 from .rearrange import (
     ConcentrationCurve,
     add_curves,
@@ -175,9 +174,7 @@ class ComparisonReport:
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def write_csv(self, path):
         rows = ((sl.y, *pt) for sl in self.slices for pt in zip(sl.s, sl.U, sl.V, sl.chi))

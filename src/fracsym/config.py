@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .compare import DEFAULT_TOL_CONSTANT
+
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides"]
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)  # conjectural half-cut value, overridable
@@ -45,8 +47,8 @@ class ExperimentConfig:
     source: str = "eigenmode:1"
     project_compatible: bool = True
     y_samples: tuple = (0.0, 0.1, 1.0)
-    tol_constant: float = 10.0
-    tol: float = 0.0  # 0 = derive from tol_constant
+    tol_constant: float = DEFAULT_TOL_CONSTANT
+    tol: float | None = None  # None = derive from tol_constant
     # parabolic
     T: float = 1.0
     steps: int = 16
@@ -96,8 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"y_samples: must be nonnegative, got {self.y_samples}")
         if self.tol_constant <= 0:
             raise ConfigError(f"tol_constant: must be positive, got {self.tol_constant}")
-        if self.tol < 0:
-            raise ConfigError(f"tol: must be >= 0 (0 derives it), got {self.tol}")
+        if self.tol is not None and self.tol < 0:
+            raise ConfigError(f"tol: must be >= 0 (unset derives it), got {self.tol}")
         if self.modes < 1:
             raise ConfigError(f"modes: must be >= 1, got {self.modes}")
         if self.gamma_exponent not in ("sigma", "half"):
@@ -151,7 +153,7 @@ def _coerce(cfg: ExperimentConfig, key: str, raw: str):
             value = _as_bool(raw, key)
         elif isinstance(current, int):
             value = int(raw)
-        elif isinstance(current, float):
+        elif isinstance(current, float) or current is None:  # None: unset tol
             value = float(raw)
         elif isinstance(current, tuple):
             value = tuple(float(x) for x in raw.split(",") if x.strip())

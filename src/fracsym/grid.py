@@ -9,6 +9,7 @@ all integrals, inner products and norms are weighted by them.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ __all__ = [
     "build_rectangle",
     "build_radial_ball",
     "write_csv",
+    "write_json",
 ]
 
 
@@ -41,6 +43,13 @@ def write_csv(path, header, rows):
         for row in rows:
             cells = (str(x) if isinstance(x, (int, str)) else repr(float(x)) for x in row)
             fh.write(",".join(cells) + "\n")
+
+
+def write_json(path, payload):
+    """payload as JSON with sorted keys and one-space indent, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

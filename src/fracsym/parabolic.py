@@ -16,6 +16,7 @@ import numpy as np
 from .grid import Grid, ScalarField, write_csv
 from .spectral import SpectralOperator, apply_fractional
 from .compare import (
+    DEFAULT_TOL_CONSTANT,
     _check_inputs,
     _compare_extensions,
     _overflow_checked,
@@ -166,7 +167,7 @@ def parabolic_compare(
     T: float,
     n: int,
     tol: float = None,
-    tol_constant: float = 10.0,
+    tol_constant: float = DEFAULT_TOL_CONSTANT,
     y_samples=None,
     sampling: str = "midpoint",
 ):

@@ -1,8 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracsym
+from fracsym import compare
 from fracsym.cli import main
 from fracsym.config import ConfigError, load_config
 
@@ -77,6 +84,24 @@ class TestEllipticCommand:
             ["elliptic-compare", "--out", str(tmp_path), "n=12", "gamma=1e9", "tol=1e-9"]
         )
         assert code == 1
+        # tol=0 is an exact tolerance, not "derive": the gamma^(1/2) reading
+        # leaves a gap of 0.049, under the derived 10 h ||f||_2 = 0.156
+        code = main(
+            [
+                "elliptic-compare",
+                "--gamma-exponent",
+                "half",
+                "--out",
+                str(tmp_path),
+                "domain=interval",
+                "n=64",
+                "sigma=0.8",
+                "source=eigenmode:1",
+                "tol=0",
+            ]
+        )
+        assert code == 1
+        assert json.loads((tmp_path / "elliptic_report.json").read_text())["tolerance"] == 0.0
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["elliptic-compare", "--out", str(tmp_path), "sigma=1.5"]) == 2
@@ -176,6 +201,25 @@ class TestParabolicCommand:
         assert main(args) == 3
         err = capsys.readouterr().err
         assert needle in err and "Warning" not in err
+
+    def test_zero_tol_is_exact(self, tmp_path):
+        # a gap of 0.084 that the derived 10 h ||u0||_2 = 0.110 would absorb
+        argv = [
+            "parabolic-compare",
+            "--gamma-exponent",
+            "half",
+            "--out",
+            str(tmp_path),
+            "domain=interval",
+            "n=64",
+            "sigma=0.8",
+            "u0=eigenmode:1",
+            "steps=4",
+        ]
+        assert main(argv + ["tol=0"]) == 1
+        report = json.loads((tmp_path / "parabolic_report.json").read_text())
+        assert report["config"]["tol"] == 0.0
+        assert {step["tolerance"] for step in report["steps"]} == {0.0}
 
     def test_zero_steps_rejected(self, tmp_path):
         assert main(["parabolic-compare", "--out", str(tmp_path), "steps=0"]) == 2
@@ -280,6 +324,35 @@ def test_unused_zero_resolution_is_valid(tmp_path):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+def test_selftest_fails_on_an_always_holds_verdict(monkeypatch, capsys):
+    original = compare._report
+
+    def always_holds(*args, **kwargs):
+        return dataclasses.replace(original(*args, **kwargs), verdict="holds")
+
+    monkeypatch.setattr(compare, "_report", always_holds)
+    assert main(["selftest"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and "negative-control" in fails[0]
+
+
+def test_selftest_module_entry_point():
+    # the package under test comes first on the child's path
+    src = Path(fracsym.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracsym.cli", "selftest"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    passes = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("PASS")]
+    assert passes == ["equality", "negative-control", "determinism"]
 
 
 def test_selftest_rejects_bad_q():

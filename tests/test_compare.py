@@ -161,6 +161,19 @@ class TestEllipticCompare:
             gaps.append(rep.worst_gap)
         assert gaps[1] <= gaps[0]
 
+    @pytest.mark.parametrize("sigma, c", [(0.3, 0.0), (0.8, 0.0), (0.8, 0.5)])
+    def test_equality_gap_is_second_order(self, sigma, c):
+        # cos(pi x) on (0, 1) against the half ball with gamma = 1/4: U = V in
+        # the continuum, so max|chi| is pure discretization error, O(h^2)
+        worst = []
+        for n in (32, 128):
+            grid = build_interval(n, 1.0, "neumann")
+            bspec = build_operator(build_radial_ball(n, 1, 0.5), gamma_constant(1, 1.0))
+            f = eigenmode_source(grid, 1)
+            rep = elliptic_compare(build_operator(grid), bspec, sigma, c, f, [0.0, 0.1, 1.0])
+            worst.append(max(float(np.max(np.abs(sl.chi))) for sl in rep.slices))
+        assert worst[0] >= 12.0 * worst[1]
+
     def test_slices_concave_and_anchored(self, square_pair):
         grid, omega, bspec = square_pair
         f = project_zero_mean(random_band_source(grid, 5))

@@ -246,6 +246,12 @@ class TestParabolicCompare:
         reports = parabolic_compare(omega, bspec, 0.5, u0, None, 1.0, 8)
         assert len(reports) == 8
         assert all(r.holds for r in reports)
+        # and a random initial value on the interval
+        line = build_interval(32, 1.0, "neumann")
+        bspec = build_operator(build_radial_ball(32, 1, 0.5), gamma_constant(1, 1.0))
+        u0 = ScalarField(line, np.random.default_rng(0).standard_normal(32))
+        reports = parabolic_compare(build_operator(line), bspec, 0.5, u0, None, 0.5, 4)
+        assert all(r.holds for r in reports)
 
     def test_single_step_matches_elliptic_resolvent_form(self):
         # one implicit step is the elliptic problem with c = 1/h and source

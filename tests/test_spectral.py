@@ -129,13 +129,14 @@ class TestEigendecomposition:
         np.testing.assert_allclose(spec.eigenvalues[:3], exact, rtol=2e-4)
 
     def test_symmetry_in_weighted_product(self):
-        spec = build_operator(build_radial_ball(30, 3, 1.0))
         rng = np.random.default_rng(2)
-        u = ScalarField(spec.grid, rng.standard_normal(30))
-        v = ScalarField(spec.grid, rng.standard_normal(30))
-        au = apply_fractional(spec, 1.0, u)
-        av = apply_fractional(spec, 1.0, v)
-        assert abs(au.inner(v) - u.inner(av)) < 1e-10 * max(1.0, u.norm(2) * v.norm(2))
+        for grid in (build_radial_ball(30, 3, 1.0), build_interval(32, 1.0, "neumann")):
+            spec = build_operator(grid)
+            u = ScalarField(grid, rng.standard_normal(grid.n_cells))
+            v = ScalarField(grid, rng.standard_normal(grid.n_cells))
+            au = apply_fractional(spec, 1.0, u)
+            av = apply_fractional(spec, 1.0, v)
+            assert abs(au.inner(v) - u.inner(av)) < 1e-10 * max(1.0, u.norm(2) * v.norm(2))
 
 
 @st.composite
