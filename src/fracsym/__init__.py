@@ -26,9 +26,7 @@ from .spectral import (
     IncompatibleData,
     SpectralOperator,
     apply_fractional,
-    assemble_laplacian,
     build_operator,
-    eigendecompose,
     heat_semigroup,
     solve_elliptic,
 )

@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .grid import Grid, ScalarField, _build_box, build_radial_ball, write_csv, write_json
 from .rearrange import concentration, decreasing_rearrangement, profile_to_csv, curve_to_csv
-from .spectral import EigendecompositionError, IncompatibleData, build_operator
+from .spectral import DENSE_CAP, EigendecompositionError, IncompatibleData, build_operator
 from .extension import dtn_residual, kappa, rho_prime
 from .compare import DominanceViolated, NonFiniteData, elliptic_compare, gamma_constant
 from .parabolic import effective_gamma, parabolic_compare
@@ -49,6 +49,11 @@ def _build_domain(cfg: ExperimentConfig) -> Grid:
 
 def _build_pair(cfg: ExperimentConfig):
     """Neumann operator on Omega and Dirichlet operator on the half ball."""
+    if cfg.shells() > DENSE_CAP:
+        raise ConfigError(
+            f"ball_shells: the half ball would have {cfg.shells()} shells, at most "
+            f"{DENSE_CAP} (unset, it matches the largest resolution)"
+        )
     grid = _build_domain(cfg)
     omega_spec = build_operator(grid)
     gamma = cfg.gamma or gamma_constant(grid.dimension, cfg.q_value())
@@ -188,8 +193,8 @@ def _cmd_rearrange(cfg: ExperimentConfig, out: Path, field_path: str) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(cfg: ExperimentConfig) -> int:
-    failures = run_suites(seed=cfg.seed)
+def _cmd_selftest(seed: int) -> int:
+    failures = run_suites(seed=seed)
     print(f"{failures} failing suite(s)" if failures else "all suites pass")
     return EXIT_VIOLATION if failures else EXIT_OK
 
@@ -201,8 +206,7 @@ def main(argv=None) -> int:
         "Neumann problems at desk scale",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("elliptic-compare", "parabolic-compare", "extension-check",
-                 "rearrange", "selftest"):
+    for name in ("elliptic-compare", "parabolic-compare", "extension-check", "rearrange"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -212,7 +216,14 @@ def main(argv=None) -> int:
         if name == "rearrange":
             p.add_argument("--field", default=None, help="CSV of cell values")
         p.add_argument("overrides", nargs="*", metavar="key=value")
-    args = parser.parse_args(argv)
+    # selftest runs fixed problems, so it takes only a seed
+    sub.add_parser("selftest").add_argument("--seed", type=int, default=0)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: usage error (2) or --help (0)
+        return exc.code
+    if args.command == "selftest":
+        return _cmd_selftest(args.seed)
 
     try:
         cfg = load_config(args.config, args.overrides)
@@ -237,9 +248,7 @@ def main(argv=None) -> int:
             return _cmd_parabolic(cfg, out)
         if args.command == "extension-check":
             return _cmd_extension(cfg, out)
-        if args.command == "rearrange":
-            return _cmd_rearrange(cfg, out, args.field)
-        return _cmd_selftest(cfg)
+        return _cmd_rearrange(cfg, out, args.field)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,9 +5,9 @@ Operators act on cell values and are symmetric in the measure-weighted
 inner product <u, v> = sum(u * v * measure).  Interval and rectangle boxes
 are matrix-free: their cell-centred stencils are diagonalised exactly by the
 orthonormal DCT-II (Neumann) and DST-II (Dirichlet), so the spectrum is a
-closed form and each transform is one scipy.fft call.  The radial ball, and
-the dense assemble_laplacian/eigendecompose route kept as the oracle for the
-boxes, use a dense symmetric eigendecomposition capped at DENSE_CAP unknowns.
+closed form and each transform is one scipy.fft call.  The radial ball is
+one symmetric tridiagonal eigenproblem (scipy.linalg.eigh_tridiagonal); its
+modes are held as a dense matrix, so it is capped at DENSE_CAP shells.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from .grid import Grid, ScalarField, unit_ball_measure, write_csv
 __all__ = [
     "IncompatibleData",
     "EigendecompositionError",
-    "DiscreteLaplacian",
     "SpectralOperator",
-    "assemble_laplacian",
-    "eigendecompose",
     "build_operator",
     "apply_fractional",
     "solve_elliptic",
@@ -45,75 +42,6 @@ class IncompatibleData(ValueError):
 
 class EigendecompositionError(RuntimeError):
     """Eigenpair residual check failed."""
-
-
-@dataclass(frozen=True)
-class DiscreteLaplacian:
-    """Dense second-difference operator -gamma * Lap on a grid."""
-
-    grid: Grid
-    gamma: float
-    bc: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def _tridiag_1d(n: int, h: float, bc: str) -> np.ndarray:
-    """1D -d2/dx2 on n cells of width h; reflecting ghost (Neumann) or
-    odd-mirror ghost (Dirichlet wall value zero)."""
-    a = np.zeros((n, n))
-    idx = np.arange(n)
-    a[idx, idx] = 2.0
-    a[idx[:-1], idx[:-1] + 1] = -1.0
-    a[idx[1:], idx[1:] - 1] = -1.0
-    if bc == "neumann":
-        a[0, 0] = 1.0
-        a[-1, -1] = 1.0
-    else:
-        a[0, 0] = 3.0
-        a[-1, -1] = 3.0
-    return a / h**2
-
-
-def _radial_matrix(grid: Grid, gamma: float) -> np.ndarray:
-    """Flux-form weighted radial Laplacian -r^(1-N) (r^(N-1) v')' with a
-    zero-flux symmetry condition at r = 0 and zero wall value at r = R."""
-    n = grid.n_cells
-    dim = grid.dimension
-    radius = grid.lengths[0]
-    dr = radius / n
-    omega = unit_ball_measure(dim)
-    faces = np.linspace(0.0, radius, n + 1)
-    area = dim * omega * faces ** (dim - 1)  # interface "surface" factors
-    k = np.zeros((n, n))
-    for i in range(n - 1):
-        f = area[i + 1] / dr
-        k[i, i] += f
-        k[i + 1, i + 1] += f
-        k[i, i + 1] -= f
-        k[i + 1, i] -= f
-    # interface 0 carries no flux (symmetry at the origin); the wall sees the
-    # zero Dirichlet value at half-cell distance
-    k[-1, -1] += 2.0 * area[-1] / dr
-    return gamma * (k / grid.measures[:, None])
-
-
-def assemble_laplacian(grid: Grid, gamma: float = 1.0) -> DiscreteLaplacian:
-    """Dense operator for -gamma * Laplacian with the grid's boundary
-    condition."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if grid.kind == "radial_ball":
-        mat = _radial_matrix(grid, gamma)
-    else:
-        # Kronecker sum over the axes of a box, x-major like its cells
-        axes = [_tridiag_1d(n, length / n, grid.bc) for n, length in zip(grid.shape, grid.lengths)]
-        mat = gamma * functools.reduce(
-            lambda a, b: np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b), axes
-        )
-    return DiscreteLaplacian(grid=grid, gamma=float(gamma), bc=grid.bc, matrix=mat)
 
 
 @dataclass(frozen=True)
@@ -163,8 +91,8 @@ class SpectralOperator:
     transforms to and from its modes, which are orthonormal in the
     measure-weighted inner product.
 
-    Boxes apply their modes matrix-free; the radial ball and the dense
-    oracle hold them as a matrix, exposed as `eigenvectors`.
+    Boxes apply their modes matrix-free; the radial ball holds them as a
+    matrix, exposed as `eigenvectors`.
     """
 
     grid: Grid
@@ -197,70 +125,12 @@ class SpectralOperator:
         write_csv(path, ("k", "eigenvalue"), enumerate(self.eigenvalues))
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """First component exceeding 1e-8 of the column max is made positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
-
-
-def _clamp_spectrum(lam: np.ndarray, bc: str) -> np.ndarray:
-    lam = lam.copy()
-    tiny = 1e-12 * max(float(lam[-1]), 1.0)
-    lam[np.abs(lam) < tiny] = 0.0
-    if bc == "neumann":
-        lam[0] = 0.0
-    elif lam[0] <= 0.0:
-        raise EigendecompositionError("Dirichlet spectrum must be positive")
-    if np.any(lam < 0.0):
-        raise EigendecompositionError("negative eigenvalue after clamping")
-    return lam
-
-
-def eigendecompose(op: DiscreteLaplacian) -> SpectralOperator:
-    """Dense symmetric eigendecomposition in the weighted inner product.
-
-    The operator is conjugated by sqrt(measures) so a standard symmetric
-    solver applies; eigenvectors come back weighted-orthonormal with a
-    deterministic sign convention.  Raises EigendecompositionError when any
-    eigenpair residual exceeds 1e-8.
-    """
-    n = op.grid.n_cells
-    if n > DENSE_CAP:
-        raise EigendecompositionError(
-            f"grid has {n} unknowns; dense eigendecomposition capped at {DENSE_CAP}"
-        )
-    sqrt_m = np.sqrt(op.grid.measures)
-    b = op.matrix * (sqrt_m[:, None] / sqrt_m[None, :])
-    b = 0.5 * (b + b.T)
-    lam, psi = scipy.linalg.eigh(b)
-    vecs = _fix_signs(psi / sqrt_m[:, None])
-    vecs.setflags(write=False)
-    lam = _clamp_spectrum(lam, op.bc)
-    basis = _DenseBasis(eigenvectors=vecs, measures=op.grid.measures)
-    spec = SpectralOperator(op.grid, op.gamma, op.bc, lam, basis)
-    _check_residuals(op.matrix, spec)
-    return spec
-
-
-def _check_residuals(matrix: np.ndarray, spec: SpectralOperator):
-    res = matrix @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues[None, :]
-    m = spec.grid.measures
-    worst = math.sqrt(float(np.max(np.sum(res * res * m[:, None], axis=0))))
-    if worst > _RESIDUAL_TOL * max(1.0, float(spec.eigenvalues[-1])):
-        raise EigendecompositionError(f"eigenpair residual {worst:.3e} too large")
-
-
 def _box_operator(grid: Grid, gamma: float) -> SpectralOperator:
-    """Closed-form spectrum of a uniform box: the cell-centred stencil of
-    _tridiag_1d has eigenvalues (2 - 2cos(pi k/n))/h^2 per axis, with
-    k = 0..n-1 (Neumann, DCT-II modes) or k = 1..n (Dirichlet, DST-II
-    modes).  Modes are ordered by (lambda, i, j); the Neumann kernel is
-    mode 0 with lambda exactly 0."""
+    """Closed-form spectrum of a uniform box: the cell-centred 1D stencil
+    (reflecting ghost for Neumann, odd-mirror ghost for Dirichlet) has
+    eigenvalues (2 - 2cos(pi k/n))/h^2 per axis, with k = 0..n-1 (Neumann,
+    DCT-II modes) or k = 1..n (Dirichlet, DST-II modes).  Modes are ordered
+    by (lambda, i, j); the Neumann kernel is mode 0 with lambda exactly 0."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     first = 0 if grid.bc == "neumann" else 1
@@ -275,12 +145,47 @@ def _box_operator(grid: Grid, gamma: float) -> SpectralOperator:
     return SpectralOperator(grid, float(gamma), grid.bc, lam.ravel()[order], basis)
 
 
+def _ball_operator(grid: Grid, gamma: float) -> SpectralOperator:
+    """Dirichlet modes of the radial ball.  The flux-form shell stencil of
+    -r^(1-N) (r^(N-1) v')' (no flux through r = 0, zero wall value half a
+    shell beyond r = R) is K / measure with K symmetric tridiagonal, so
+    scaling by sqrt(measure) leaves one symmetric tridiagonal eigenproblem.
+    Modes are psi / sqrt(measure), positive in shell 0.  Raises
+    EigendecompositionError when any eigenpair residual exceeds 1e-8."""
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    n = grid.n_cells
+    if n > DENSE_CAP:
+        raise EigendecompositionError(
+            f"ball has {n} shells; its dense mode matrix is capped at {DENSE_CAP}"
+        )
+    dim, radius, m = grid.dimension, grid.lengths[0], grid.measures
+    faces = np.linspace(0.0, radius, n + 1)[1:]
+    # gamma * face area / shell width; the last face is the wall, at half a shell
+    flux = gamma * dim * unit_ball_measure(dim) * faces ** (dim - 1) / (radius / n)
+    diag = (np.append(0.0, flux[:-1]) + np.append(flux[:-1], 2.0 * flux[-1])) / m
+    off = -flux[:-1] / np.sqrt(m[:-1] * m[1:])
+    lam, psi = scipy.linalg.eigh_tridiagonal(diag, off)
+    if lam[0] <= 0.0:
+        raise EigendecompositionError("Dirichlet spectrum must be positive")
+    psi *= np.where(psi[0] < 0, -1.0, 1.0)
+    res = psi * (diag[:, None] - lam)
+    res[:-1] += off[:, None] * psi[1:]
+    res[1:] += off[:, None] * psi[:-1]
+    worst = math.sqrt(float(np.max(np.einsum("ij,ij->j", res, res))))
+    if worst > _RESIDUAL_TOL * max(1.0, float(lam[-1])):
+        raise EigendecompositionError(f"eigenpair residual {worst:.3e} too large")
+    psi /= np.sqrt(m)[:, None]
+    psi.setflags(write=False)
+    return SpectralOperator(grid, float(gamma), grid.bc, lam, _DenseBasis(psi, m))
+
+
 def build_operator(grid: Grid, gamma: float = 1.0) -> SpectralOperator:
     """Spectral operator of -gamma * Laplacian on the grid: matrix-free
-    DCT/DST transforms on interval and rectangle boxes, the dense
-    eigendecomposition on the radial ball."""
+    DCT/DST transforms on interval and rectangle boxes, the tridiagonal
+    eigensolver on the radial ball."""
     if grid.kind == "radial_ball":
-        return eigendecompose(assemble_laplacian(grid, gamma))
+        return _ball_operator(grid, gamma)
     return _box_operator(grid, gamma)
 
 

@@ -322,6 +322,19 @@ def test_unused_zero_resolution_is_valid(tmp_path):
     assert main(["elliptic-compare", "--out", str(tmp_path), "n=0", "nx=8", "ny=8"]) == 0
 
 
+@pytest.mark.parametrize("override", ["n=12001", "ball_shells=12001"])
+def test_ball_over_cap_is_config_error(tmp_path, capsys, override):
+    # a config error, raised before a 12001^2 mode matrix could be allocated
+    argv = ["elliptic-compare", "--out", str(tmp_path), "domain=interval", override]
+    assert main(argv) == 2
+    assert "ball_shells" in capsys.readouterr().err
+
+
+def test_cap_leaves_commands_without_a_ball(tmp_path):
+    argv = ["extension-check", "--out", str(tmp_path), "domain=interval", "n=12001", "modes=1"]
+    assert main(argv) == 0
+
+
 def test_selftest_passes():
     assert main(["selftest"]) == 0
 
@@ -357,3 +370,13 @@ def test_selftest_module_entry_point():
 
 def test_selftest_rejects_bad_q():
     assert main(["selftest", "Q=-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args", [["n=8"], ["--out", "X"], ["--gamma-exponent", "half"]], ids=["n", "out", "gamma"]
+)
+def test_selftest_rejects_ignored_arguments(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest", *args]) == 2
+    assert " ".join(args) in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,19 +8,80 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fracsym import (
+    EigendecompositionError,
     IncompatibleData,
     ScalarField,
+    SpectralOperator,
     apply_fractional,
-    assemble_laplacian,
     build_interval,
     build_operator,
     build_radial_ball,
     build_rectangle,
-    eigendecompose,
     heat_semigroup,
     solve_elliptic,
+    unit_ball_measure,
 )
-from fracsym.spectral import _tridiag_1d
+from fracsym.spectral import DENSE_CAP, _DenseBasis
+
+
+def _tridiag_1d(n, h, bc):
+    """1D -d2/dx2 on n cells of width h; reflecting ghost (Neumann) or
+    odd-mirror ghost (Dirichlet wall value zero)."""
+    a = np.zeros((n, n))
+    idx = np.arange(n)
+    a[idx, idx] = 2.0
+    a[idx[:-1], idx[:-1] + 1] = -1.0
+    a[idx[1:], idx[1:] - 1] = -1.0
+    a[0, 0] = a[-1, -1] = 1.0 if bc == "neumann" else 3.0
+    return a / h**2
+
+
+def _radial_matrix(grid, gamma):
+    """Flux-form weighted radial Laplacian -r^(1-N) (r^(N-1) v')' with a
+    zero-flux symmetry condition at r = 0 and zero wall value at r = R,
+    assembled face by face."""
+    n = grid.n_cells
+    dim = grid.dimension
+    radius = grid.lengths[0]
+    dr = radius / n
+    faces = np.linspace(0.0, radius, n + 1)
+    area = dim * unit_ball_measure(dim) * faces ** (dim - 1)
+    k = np.zeros((n, n))
+    for i in range(n - 1):
+        f = area[i + 1] / dr
+        k[i, i] += f
+        k[i + 1, i + 1] += f
+        k[i, i + 1] -= f
+        k[i + 1, i] -= f
+    # interface 0 carries no flux (symmetry at the origin); the wall sees the
+    # zero Dirichlet value at half-cell distance
+    k[-1, -1] += 2.0 * area[-1] / dr
+    return gamma * (k / grid.measures[:, None])
+
+
+def oracle_matrix(grid, gamma=1.0):
+    """Dense -gamma * Laplacian: the radial stencil on the ball, the
+    Kronecker sum of the 1D stencils over the axes of a box (x-major)."""
+    if grid.kind == "radial_ball":
+        return _radial_matrix(grid, gamma)
+    axes = [_tridiag_1d(n, length / n, grid.bc) for n, length in zip(grid.shape, grid.lengths)]
+    return gamma * functools.reduce(
+        lambda a, b: np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b), axes
+    )
+
+
+def dense_oracle(grid, gamma=1.0):
+    """Weighted dense eigendecomposition of oracle_matrix: the generalized
+    problem (M A) v = lambda M v with M = diag(measures), the Neumann kernel
+    clamped to 0 and each mode's first entry above 1e-8 of its max made
+    positive."""
+    m = grid.measures
+    lam, vecs = scipy.linalg.eigh(m[:, None] * oracle_matrix(grid, gamma), np.diag(m))
+    if grid.bc == "neumann":
+        lam[0] = 0.0
+    big = np.abs(vecs) > 1e-8 * np.max(np.abs(vecs), axis=0)
+    vecs *= np.sign(vecs[np.argmax(big, axis=0), np.arange(lam.size)])
+    return SpectralOperator(grid, float(gamma), grid.bc, lam, _DenseBasis(vecs, m))
 
 
 @pytest.fixture(scope="module")
@@ -34,25 +97,33 @@ def mode_field(spec, k):
 
 class TestAssembly:
     def test_neumann_row_sums_vanish(self):
-        op = assemble_laplacian(build_interval(16, 1.0, "neumann"))
-        np.testing.assert_allclose(op.matrix.sum(axis=1), 0.0, atol=1e-12)
+        mat = oracle_matrix(build_interval(16, 1.0, "neumann"))
+        np.testing.assert_allclose(mat.sum(axis=1), 0.0, atol=1e-12)
 
     def test_dirichlet_eigenvalues_closed_form(self):
-        # FD oracle: 4 n^2 sin^2(k pi / 2n) on the unit interval
+        # FD oracles on the unit interval: 4 n^2 sin^2(k pi / 2n); on the 1D
+        # ball (-1/2, 1/2), n shells of the cell-centred stencil reflecting at
+        # r = 0 and zero at the wall: 4 (2n)^2 sin^2((2k - 1) pi / 4n)
         n = 32
-        spec = eigendecompose(assemble_laplacian(build_interval(n, 1.0, "dirichlet")))
-        exact = 4 * n * n * np.sin(np.arange(1, n + 1) * math.pi / (2 * n)) ** 2
+        k = np.arange(1, n + 1)
+        spec = build_operator(build_interval(n, 1.0, "dirichlet"))
+        np.testing.assert_allclose(
+            spec.eigenvalues, 4 * n * n * np.sin(k * math.pi / (2 * n)) ** 2, rtol=1e-10
+        )
+        spec = build_operator(build_radial_ball(n, 1, 1.0))
+        exact = 16 * n * n * np.sin((2 * k - 1) * math.pi / (4 * n)) ** 2
         np.testing.assert_allclose(spec.eigenvalues, exact, rtol=1e-10)
 
     def test_gamma_scales_linearly(self):
-        g = build_interval(16, 1.0, "dirichlet")
-        s1 = eigendecompose(assemble_laplacian(g, 1.0))
-        s2 = eigendecompose(assemble_laplacian(g, 2.0))
-        np.testing.assert_allclose(s2.eigenvalues, 2.0 * s1.eigenvalues, rtol=1e-12)
+        for g in (build_interval(16, 1.0, "dirichlet"), build_radial_ball(16, 2, 0.5)):
+            s1, s2 = build_operator(g, 1.0), build_operator(g, 2.0)
+            np.testing.assert_allclose(s2.eigenvalues, 2.0 * s1.eigenvalues, rtol=1e-12)
 
     def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            assemble_laplacian(build_interval(8, 1.0), 0.0)
+        for g in (build_interval(8, 1.0), build_radial_ball(8, 2, 0.5)):
+            for gamma in (0.0, -1.0):
+                with pytest.raises(ValueError, match="gamma"):
+                    build_operator(g, gamma)
 
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
     def test_rectangle_is_explicit_kronecker_sum(self, bc):
@@ -60,8 +131,8 @@ class TestAssembly:
         ax = _tridiag_1d(nx, lx / nx, bc)
         ay = _tridiag_1d(ny, ly / ny, bc)
         explicit = gamma * (np.kron(ax, np.eye(ny)) + np.kron(np.eye(nx), ay))
-        op = assemble_laplacian(build_rectangle(nx, ny, lx, ly, bc), gamma)
-        assert np.array_equal(op.matrix, explicit)
+        mat = oracle_matrix(build_rectangle(nx, ny, lx, ly, bc), gamma)
+        assert np.array_equal(mat, explicit)
 
 
 class TestEigendecomposition:
@@ -102,7 +173,7 @@ class TestEigendecomposition:
     def test_tensor_matches_dense(self):
         g = build_rectangle(7, 5, 1.0, 1.5, "neumann")
         tensor = build_operator(g)
-        dense = eigendecompose(assemble_laplacian(g))
+        dense = dense_oracle(g)
         np.testing.assert_allclose(tensor.eigenvalues, dense.eigenvalues, atol=1e-9)
         rng = np.random.default_rng(1)
         u = ScalarField(g, rng.standard_normal(g.n_cells))
@@ -118,6 +189,17 @@ class TestEigendecomposition:
         # O(n^-2): each doubling shrinks the error by about 4
         assert errs[0] / errs[1] > 3.5
         assert errs[1] / errs[2] > 3.5
+
+    def test_ball_cap_checked_before_allocating(self):
+        ball = build_radial_ball(DENSE_CAP + 1, 2, 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EigendecompositionError, match="capped"):
+                build_operator(ball)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_radial_ball_spectrum_bessel_oracle(self):
         from scipy.special import jn_zeros
@@ -150,7 +232,7 @@ def boxes(draw):
 
 
 class TestBoxMatchesDenseOracle:
-    """Matrix-free box operators against eigendecompose(assemble_laplacian)."""
+    """Matrix-free box operators against the dense oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -162,7 +244,7 @@ class TestBoxMatchesDenseOracle:
     )
     def test_matches_dense(self, grid, gamma, sigma, t, seed):
         box = build_operator(grid, gamma)
-        dense = eigendecompose(assemble_laplacian(grid, gamma))
+        dense = dense_oracle(grid, gamma)
         lam_max = dense.eigenvalues[-1]
         assert np.max(np.abs(box.eigenvalues - dense.eigenvalues)) <= 1e-12 * lam_max
         rng = np.random.default_rng(seed)
@@ -196,6 +278,7 @@ class TestBoxMatchesDenseOracle:
             raise AssertionError("dense eigensolver called")
 
         monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
         for bc in ("neumann", "dirichlet"):
             for grid in (build_interval(16, 1.0, bc), build_rectangle(6, 5, 1.0, 2.0, bc)):
                 assert build_operator(grid).n_modes == grid.n_cells
@@ -213,6 +296,40 @@ class TestBoxMatchesDenseOracle:
         assert (back - u).norm(2) < 1e-12 * u.norm(2)
 
 
+class TestBallMatchesDenseOracle:
+    """The tridiagonal ball operator against the dense oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        shells=st.integers(2, 150),
+        measure=st.floats(0.1, 10.0),
+        gamma=st.floats(0.05, 20.0),
+        sigma=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense(self, dim, shells, measure, gamma, sigma, t, seed):
+        grid = build_radial_ball(shells, dim, measure)
+        ball = build_operator(grid, gamma)
+        dense = dense_oracle(grid, gamma)
+        lam_max = dense.eigenvalues[-1]
+        assert np.max(np.abs(ball.eigenvalues - dense.eigenvalues)) <= 1e-12 * lam_max
+        assert np.all(ball.eigenvectors[0] > 0.0)
+        gram = ball.eigenvectors.T @ (ball.eigenvectors * grid.measures[:, None])
+        assert np.max(np.abs(gram - np.eye(shells))) <= 1e-10
+        rng = np.random.default_rng(seed)
+        u = ScalarField(grid, rng.standard_normal(shells))
+        for op in (
+            lambda spec: apply_fractional(spec, sigma, u),
+            lambda spec: solve_elliptic(spec, sigma, 0.0, u),
+            lambda spec: solve_elliptic(spec, sigma, 0.5, u),
+            lambda spec: heat_semigroup(spec, t, u),
+        ):
+            a, b = op(ball), op(dense)
+            assert (a - b).norm(2) <= 1e-10 * max(b.norm(2), u.norm(2))
+
+
 class TestFractionalApply:
     def test_constant_annihilated(self, interval_neumann):
         spec = interval_neumann
@@ -227,13 +344,12 @@ class TestFractionalApply:
         assert (out - lam**0.7 * phi).norm(2) < 1e-10 * lam**0.7
 
     def test_sigma_one_recovers_matrix_action(self):
-        g = build_interval(32, 1.0, "neumann")
-        op = assemble_laplacian(g)
-        spec = eigendecompose(op)
         rng = np.random.default_rng(3)
-        u = ScalarField(g, rng.standard_normal(32))
-        direct = ScalarField(g, op.matrix @ u.values)
-        assert (apply_fractional(spec, 1.0, u) - direct).norm(2) < 1e-10 * direct.norm(2)
+        for g in (build_interval(32, 1.0, "neumann"), build_radial_ball(32, 3, 0.7)):
+            u = ScalarField(g, rng.standard_normal(32))
+            direct = ScalarField(g, oracle_matrix(g, 1.7) @ u.values)
+            out = apply_fractional(build_operator(g, 1.7), 1.0, u)
+            assert (out - direct).norm(2) < 1e-10 * direct.norm(2)
 
 
 class TestSolve:
