@@ -13,7 +13,6 @@ from .rearrange import (
     ConcentrationCurve,
     RearrangedProfile,
     concentration,
-    convex_comparison_check,
     decreasing_rearrangement,
     distribution_function,
     less_concentrated,
@@ -27,20 +26,15 @@ from .spectral import (
     SpectralOperator,
     apply_fractional,
     build_operator,
-    heat_semigroup,
     solve_elliptic,
 )
 from .extension import (
     ExtensionField,
-    beta,
     dtn_residual,
     extend,
     kappa,
-    nu,
     rho,
     rho_prime,
-    y_of_z,
-    z_of_y,
 )
 from .compare import (
     ComparisonReport,

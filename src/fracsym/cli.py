@@ -83,7 +83,7 @@ def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
         cfg.y_samples,
         tol=cfg.tol,
         tol_constant=cfg.tol_constant,
-        q=cfg.q_value(),
+        q=None if cfg.gamma else cfg.q_value(),  # Q is reported only when it set gamma
         split_mode=cfg.split_mode,
     )
     payload = report.to_json_dict()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, ScalarField, unit_ball_measure, write_csv, write_json
+from .grid import Grid, ScalarField, unit_ball_measure, write_csv
 from .rearrange import (
     ConcentrationCurve,
     add_curves,
@@ -172,9 +172,6 @@ class ComparisonReport:
             "verdict": self.verdict,
             "split": [r.to_json_dict() for r in self.split_reports],
         }
-
-    def write_json(self, path):
-        write_json(path, self.to_json_dict())
 
     def write_csv(self, path):
         rows = ((sl.y, *pt) for sl in self.slices for pt in zip(sl.s, sl.U, sl.V, sl.chi))

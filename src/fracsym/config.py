@@ -4,7 +4,7 @@ overrides; no structured-config dependency."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .compare import DEFAULT_TOL_CONSTANT
 
@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError(f"tol: must be >= 0 (unset derives it), got {self.tol}")
         if self.modes < 1:
             raise ConfigError(f"modes: must be >= 1, got {self.modes}")
+        if len(self.y_sweep) < 2 or min(self.y_sweep) <= 0:
+            raise ConfigError(f"y_sweep: needs at least two positive heights, got {self.y_sweep}")
         if self.gamma_exponent not in ("sigma", "half"):
             raise ConfigError(
                 f"gamma_exponent: must be 'sigma' or 'half', got {self.gamma_exponent!r}"

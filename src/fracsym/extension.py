@@ -15,6 +15,8 @@ Caffarelli-Silvestre 2007)
 
 evaluated vectorized through the exponentially scaled kve, with the t = 0
 limits as exact special cases.  The ODE is only used as a residual test.
+extend gives the layers at the requested heights; dtn_residual measures
+how far the weighted y-flux is from the fractional Laplacian at a height.
 """
 
 from __future__ import annotations
@@ -25,21 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kve
 
-from .grid import ScalarField, write_csv
+from .grid import ScalarField
 from .spectral import SpectralOperator, apply_fractional
 
 __all__ = [
     "kappa",
-    "nu",
-    "beta",
     "rho",
     "rho_prime",
-    "z_of_y",
-    "y_of_z",
     "ExtensionField",
     "extend",
     "dtn_residual",
-    "extension_to_csv",
 ]
 
 
@@ -52,18 +49,6 @@ def kappa(sigma: float) -> float:
     """2^(1-2s) Gamma(1-s) / Gamma(s); equals 1 at s = 1/2."""
     _check_open_sigma(sigma)
     return 2.0 ** (1.0 - 2.0 * sigma) * math.gamma(1.0 - sigma) / math.gamma(sigma)
-
-
-def nu(sigma: float) -> float:
-    """Degeneracy exponent (2s - 1)/s of the z-form cylinder equation."""
-    _check_open_sigma(sigma)
-    return (2.0 * sigma - 1.0) / sigma
-
-
-def beta(sigma: float) -> float:
-    """Flux normalization (2s)^(2s-1) * kappa(s) of the z-form problem."""
-    _check_open_sigma(sigma)
-    return (2.0 * sigma) ** (2.0 * sigma - 1.0) * kappa(sigma)
 
 
 def _bessel_profile(sigma: float, t, order: float, sign: float, at_zero: float):
@@ -102,40 +87,19 @@ def rho_prime(sigma: float, t):
     return _bessel_profile(sigma, t, 1.0 - sigma, -1.0, at_zero)
 
 
-def z_of_y(sigma: float, y):
-    """Change of variables z = (y / 2s)^(2s) flattening the y-weight."""
-    _check_open_sigma(sigma)
-    out = (np.asarray(y, dtype=float) / (2.0 * sigma)) ** (2.0 * sigma)
-    return out if out.ndim else float(out)
-
-
-def y_of_z(sigma: float, z):
-    """Inverse map y = 2s * z^(1/2s)."""
-    _check_open_sigma(sigma)
-    out = 2.0 * sigma * np.asarray(z, dtype=float) ** (1.0 / (2.0 * sigma))
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ExtensionField:
     """Mode-wise extension of a boundary field over a list of y samples.
 
     layers[j] is w(. , y_samples[j]); layer 0 (y = 0) reproduces the
-    boundary datum.  mean_offset carries the Neumann mean that rides along
-    unchanged in every layer.
+    boundary datum.
     """
 
-    spec: SpectralOperator
-    sigma: float
     y_samples: np.ndarray
     layers: tuple
-    mean_offset: float
 
     def __post_init__(self):
         self.y_samples.setflags(write=False)
-
-    def layer(self, j: int) -> ScalarField:
-        return self.layers[j]
 
 
 def _with_zero(y_samples) -> np.ndarray:
@@ -166,13 +130,7 @@ def extend(
             layers.append(spec.synthesize(coeffs))
         else:
             layers.append(spec.synthesize(coeffs * rho(sigma, sq * y)))
-    return ExtensionField(
-        spec=spec,
-        sigma=sigma,
-        y_samples=ys,
-        layers=tuple(layers),
-        mean_offset=u.mean() if spec.bc == "neumann" else 0.0,
-    )
+    return ExtensionField(y_samples=ys, layers=tuple(layers))
 
 
 def dtn_residual(spec: SpectralOperator, sigma: float, u: ScalarField, y_small: float):
@@ -196,13 +154,3 @@ def dtn_residual(spec: SpectralOperator, sigma: float, u: ScalarField, y_small: 
     frac = apply_fractional(spec, sigma, u)
     r = (-(y_small ** (1.0 - 2.0 * sigma)) / kappa(sigma)) * wy - frac
     return r, r.norm(2)
-
-
-def extension_to_csv(ext: ExtensionField, path):
-    """Rows (y, cell, value) for visualization."""
-    rows = (
-        (y, i, v)
-        for y, layer in zip(ext.y_samples, ext.layers)
-        for i, v in enumerate(layer.values)
-    )
-    write_csv(path, ("y", "cell", "value"), rows)

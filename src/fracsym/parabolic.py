@@ -4,7 +4,8 @@ Cauchy-Dirichlet problem on the half-measure ball.
 
 Each implicit step solves (1 + h * A) u_k = u_{k-1} + h f_k spectrally, so
 a trajectory is a sequence of resolvent applications; the mild solution is
-the h -> 0 limit of the piecewise-constant interpolants.
+the h -> 0 limit of the piecewise-constant interpolants.  A time-dependent
+forcing is sampled once per step, at the step midpoint.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, write_csv
+from .grid import Grid, ScalarField
 from .spectral import SpectralOperator, apply_fractional
 from .compare import (
     DEFAULT_TOL_CONSTANT,
@@ -33,7 +34,6 @@ __all__ = [
     "effective_gamma",
     "symmetrized_parabolic_problem",
     "parabolic_compare",
-    "trajectory_to_csv",
 ]
 
 
@@ -78,32 +78,13 @@ def implicit_step(
     return spec.synthesize(coeffs / (1.0 + h * spec.eigenvalues**sigma))
 
 
-def _sample_forcing(forcing, t0: float, t1: float, sampling: str) -> ScalarField:
-    if isinstance(forcing, ScalarField):
-        return forcing
-    if sampling == "midpoint":
-        return forcing(0.5 * (t0 + t1))
-    if sampling == "average":
-        # Simpson on the subinterval; consistent sampling is all that is needed
-        return (1.0 / 6.0) * (
-            forcing(t0) + 4.0 * forcing(0.5 * (t0 + t1)) + forcing(t1)
-        )
-    raise ValueError(f"sampling must be 'midpoint' or 'average', got {sampling!r}")
-
-
 def mild_solve(
-    spec: SpectralOperator,
-    sigma: float,
-    u0: ScalarField,
-    forcing,
-    T: float,
-    n: int,
-    sampling: str = "midpoint",
+    spec: SpectralOperator, sigma: float, u0: ScalarField, forcing, T: float, n: int
 ) -> Trajectory:
     """March n implicit steps to time T.
 
     forcing may be None, a time-constant ScalarField, or a callable
-    t -> ScalarField; per-step samples default to the midpoint value.
+    t -> ScalarField, sampled at the midpoint of each step.
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
@@ -111,13 +92,13 @@ def mild_solve(
         raise ValueError(f"T must be positive, got {T}")
     h = T / n
     times = np.linspace(0.0, T, n + 1)
-    zero = ScalarField(spec.grid, np.zeros(spec.grid.n_cells))
+    if forcing is None:
+        forcing = ScalarField(spec.grid, np.zeros(spec.grid.n_cells))
     states = [u0]
     sources = []
     for k in range(1, n + 1):
-        f_k = zero if forcing is None else _sample_forcing(
-            forcing, times[k - 1], times[k], sampling
-        )
+        mid = 0.5 * (times[k - 1] + times[k])
+        f_k = forcing if isinstance(forcing, ScalarField) else forcing(mid)
         sources.append(f_k)
         states.append(implicit_step(spec, sigma, h, states[-1], f_k))
     return Trajectory(
@@ -169,7 +150,6 @@ def parabolic_compare(
     tol: float = None,
     tol_constant: float = DEFAULT_TOL_CONSTANT,
     y_samples=None,
-    sampling: str = "midpoint",
 ):
     """Step both problems with matched h and compare at every t_k.
 
@@ -181,7 +161,7 @@ def parabolic_compare(
     _check_inputs(
         omega_spec.grid, ball_spec.grid, {"initial value u0": u0, "forcing": fixed_forcing}
     )
-    omega_traj = mild_solve(omega_spec, sigma, u0, forcing, T, n, sampling)
+    omega_traj = mild_solve(omega_spec, sigma, u0, forcing, T, n)
     _check_inputs(omega_spec.grid, ball_spec.grid, {"forcing": omega_traj.sources})
     v0, g_samples = symmetrized_parabolic_problem(
         u0, omega_traj.sources, ball_spec.grid
@@ -210,13 +190,3 @@ def parabolic_compare(
         }
         reports.append(_report(slices, tol, params))
     return reports
-
-
-def trajectory_to_csv(traj: Trajectory, path):
-    """Rows (k, t, cell, value)."""
-    rows = (
-        (k, t, i, v)
-        for k, (t, state) in enumerate(zip(traj.times, traj.states))
-        for i, v in enumerate(state.values)
-    )
-    write_csv(path, ("k", "t", "cell", "value"), rows)

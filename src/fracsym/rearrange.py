@@ -28,7 +28,6 @@ __all__ = [
     "concentration",
     "add_curves",
     "less_concentrated",
-    "convex_comparison_check",
     "profile_to_csv",
     "curve_to_csv",
 ]
@@ -228,35 +227,6 @@ def less_concentrated(
     i = int(np.argmax(gaps))
     gap = float(gaps[i])
     return OrderVerdict(gap=gap, s_at_gap=float(s[i]), tol=tol, holds=gap <= tol)
-
-
-def _phi_family(a_samples):
-    fam = [
-        ("t^1", lambda t: t),
-        ("t^2", lambda t: t**2),
-        ("t^4", lambda t: t**4),
-        ("exp(t)-1", lambda t: np.expm1(t)),
-    ]
-    for a in a_samples:
-        fam.append((f"(t-{a:g})+", lambda t, a=a: np.maximum(t - a, 0.0)))
-    return fam
-
-
-def convex_comparison_check(
-    f: ScalarField, g: ScalarField, tol: float = 1e-12, a_samples=None
-) -> dict:
-    """Verify int Phi(f) <= int Phi(g) + tol over a family of convex
-    nondecreasing Phi with Phi(0) = 0 (equivalent to f < g for rearranged
-    nonnegative inputs)."""
-    if a_samples is None:
-        top = max(float(np.max(np.abs(g.values))), 1.0)
-        a_samples = [0.25 * top, 0.5 * top, 0.75 * top]
-    out = {}
-    for name, phi in _phi_family(a_samples):
-        lhs = float(np.dot(phi(np.abs(f.values)), f.grid.measures))
-        rhs = float(np.dot(phi(np.abs(g.values)), g.grid.measures))
-        out[name] = lhs <= rhs + tol
-    return out
 
 
 def profile_to_csv(profile: RearrangedProfile, path):

@@ -1,5 +1,5 @@
 """Discrete Laplacians with Neumann/Dirichlet conditions and their spectral
-machinery: fractional powers, elliptic solvers and the heat semigroup.
+machinery: fractional powers and elliptic solvers.
 
 Operators act on cell values and are symmetric in the measure-weighted
 inner product <u, v> = sum(u * v * measure).  Interval and rectangle boxes
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .grid import Grid, ScalarField, unit_ball_measure, write_csv
+from .grid import Grid, ScalarField, unit_ball_measure
 
 __all__ = [
     "IncompatibleData",
@@ -29,7 +29,6 @@ __all__ = [
     "build_operator",
     "apply_fractional",
     "solve_elliptic",
-    "heat_semigroup",
 ]
 
 DENSE_CAP = 12000
@@ -120,9 +119,6 @@ class SpectralOperator:
 
     def synthesize(self, coeffs: np.ndarray) -> ScalarField:
         return ScalarField(self.grid, self.basis.inverse(coeffs))
-
-    def spectrum_to_csv(self, path):
-        write_csv(path, ("k", "eigenvalue"), enumerate(self.eigenvalues))
 
 
 def _box_operator(grid: Grid, gamma: float) -> SpectralOperator:
@@ -225,11 +221,3 @@ def solve_elliptic(
         out[1:] = coeffs[1:] / lam[1:] ** sigma
         return spec.synthesize(out)
     return spec.synthesize(coeffs / (lam**sigma + c))
-
-
-def heat_semigroup(spec: SpectralOperator, t: float, field: ScalarField) -> ScalarField:
-    """exp(t * Lap) field via multipliers exp(-lambda_k t)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    coeffs = spec.coefficients(field)
-    return spec.synthesize(coeffs * np.exp(-spec.eigenvalues * t))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +50,9 @@ class TestConfig:
             "gamma=inf",
             "n=0",
             "length=0",
+            "y_sweep=0.1,0",
+            "y_sweep=0.1",
+            "y_sweep=",
         ],
     )
     def test_rejections_name_field(self, override):
@@ -102,6 +106,15 @@ class TestEllipticCommand:
         )
         assert code == 1
         assert json.loads((tmp_path / "elliptic_report.json").read_text())["tolerance"] == 0.0
+
+    def test_q_reported_only_when_it_set_gamma(self, tmp_path):
+        params = []
+        for extra in (["gamma=0.3"], []):
+            assert main(["elliptic-compare", "--out", str(tmp_path), "n=16", *extra]) == 0
+            params.append(json.loads((tmp_path / "elliptic_report.json").read_text())["params"])
+        assert params[0]["gamma"] == 0.3 and params[0]["Q"] is None
+        assert params[1]["Q"] == pytest.approx(2**-0.5)
+        assert params[1]["gamma"] == pytest.approx(1.0 / (2.0 * math.pi))
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["elliptic-compare", "--out", str(tmp_path), "sigma=1.5"]) == 2

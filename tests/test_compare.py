@@ -24,6 +24,7 @@ from fracsym import (
     symmetrized_data,
 )
 from fracsym.compare import default_tolerance
+from fracsym.grid import write_json
 from fracsym.sources import eigenmode_source, project_zero_mean, random_band_source
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)
@@ -210,7 +211,7 @@ class TestEllipticCompare:
         data = json.loads(blobs[0])
         assert set(data) == {"params", "per_y", "worst_gap", "tolerance", "verdict", "split"}
         assert {"y", "s", "U", "V", "chi"} <= set(data["per_y"][0])
-        rep.write_json(tmp_path / "r.json")
+        write_json(tmp_path / "r.json", rep.to_json_dict())
         rep.write_csv(tmp_path / "r.csv")
         assert (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
 

@@ -1,9 +1,14 @@
+import ast
+import dataclasses
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import fracsym
+from fracsym.config import ExperimentConfig
 
 MODULES = ["fracsym"] + sorted(f"fracsym.{m.name}" for m in pkgutil.iter_modules(fracsym.__path__))
 
@@ -13,3 +18,30 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
     exec(f"from {name} import *", {})
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_no_unused_imports(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |")[1].split("\n\n")[0]
+    documented = {
+        key
+        for row in table.splitlines()
+        if row.startswith("| `")
+        for key in re.findall(r"`([^`]+)`", row.split("|")[1])
+    }
+    keys = {"Q" if f.name == "q" else f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert sorted(keys - documented) == []

@@ -8,17 +8,13 @@ from scipy.integrate import quad
 
 from fracsym import (
     ScalarField,
-    beta,
     build_interval,
     build_operator,
     dtn_residual,
     extend,
     kappa,
-    nu,
     rho,
     rho_prime,
-    y_of_z,
-    z_of_y,
 )
 
 
@@ -72,18 +68,6 @@ class TestConstants:
     def test_kappa_domain(self, sigma):
         with pytest.raises(ValueError):
             kappa(sigma)
-
-    def test_nu_beta_half(self):
-        assert nu(0.5) == 0.0
-        assert beta(0.5) == pytest.approx(1.0, abs=1e-14)
-
-    def test_nu_three_quarters(self):
-        assert nu(0.75) == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-    def test_beta_quarter(self):
-        oracle = 0.5**-0.5 * kappa(0.25)
-        assert beta(0.25) == pytest.approx(oracle, rel=1e-13)
-        assert beta(0.25) == pytest.approx(0.675978, abs=1e-5)
 
 
 class TestRho:
@@ -178,40 +162,25 @@ class TestRho:
             )
 
 
-class TestChangeOfVariables:
-    def test_identity_at_half(self):
-        for y in (0.0, 0.3, 2.0):
-            assert z_of_y(0.5, y) == pytest.approx(y, abs=1e-15)
-
-    def test_roundtrip(self):
-        for sigma in (0.25, 0.5, 0.9):
-            for y in (0.1, 1.0, 7.0):
-                assert y_of_z(sigma, z_of_y(sigma, y)) == pytest.approx(y, rel=1e-12)
-
-    def test_quarter_value(self):
-        assert z_of_y(0.25, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-
 class TestExtend:
     def test_single_mode(self, spec):
         phi = mode_field(spec, 2)
         lam = spec.eigenvalues[2]
         w = extend(spec, 0.5, phi, [0.0, 0.4])
         expected = rho(0.5, math.sqrt(lam) * 0.4)
-        assert (w.layer(1) - expected * phi).norm(2) < 1e-12
+        assert (w.layers[1] - expected * phi).norm(2) < 1e-12
 
     def test_constant_propagates(self, spec):
         const = ScalarField(spec.grid, np.full(spec.grid.n_cells, 5.0))
         w = extend(spec, 0.3, const, [0.0, 1.0, 10.0])
         for layer in w.layers:
             assert (layer - const).norm("inf") < 1e-10
-        assert w.mean_offset == pytest.approx(5.0)
 
     def test_trace(self, spec):
         rng = np.random.default_rng(8)
         u = ScalarField(spec.grid, rng.standard_normal(spec.grid.n_cells))
         w = extend(spec, 0.5, u, [0.0, 0.1])
-        assert (w.layer(0) - u).norm("inf") < 1e-10
+        assert (w.layers[0] - u).norm("inf") < 1e-10
 
     def test_zero_mean_persists(self, spec):
         rng = np.random.default_rng(9)
@@ -278,18 +247,5 @@ class TestNonzeroMean:
         rng = np.random.default_rng(12)
         u = ScalarField(spec.grid, rng.standard_normal(spec.grid.n_cells) + 2.5)
         w = extend(spec, 0.5, u, [0.0, 0.2, 1.0])
-        assert w.mean_offset == pytest.approx(u.mean(), abs=1e-13)
         for layer in w.layers:
             assert layer.mean() == pytest.approx(u.mean(), abs=1e-10)
-
-
-def test_extension_csv_export(spec, tmp_path):
-    from fracsym.extension import extension_to_csv
-
-    u = mode_field(spec, 1)
-    w = extend(spec, 0.5, u, [0.0, 0.3])
-    path = tmp_path / "ext.csv"
-    extension_to_csv(w, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "y,cell,value"
-    assert len(lines) == 1 + 2 * spec.grid.n_cells

@@ -120,10 +120,11 @@ class TestMildSolve:
     def test_time_dependent_forcing_sampling(self, spec):
         phi = mode_field(spec, 1)
         forcing = lambda t: phi * math.cos(t)
-        mid = mild_solve(spec, 0.5, phi, forcing, 1.0, 4, sampling="midpoint")
-        avg = mild_solve(spec, 0.5, phi, forcing, 1.0, 4, sampling="average")
-        # both consistent samplings land near each other
-        assert (mid.state(4) - avg.state(4)).norm(2) < 1e-3
+        traj = mild_solve(spec, 0.5, phi, forcing, 1.0, 4)
+        for k in range(1, 5):
+            # step k samples at its midpoint t_{k-1/2} = (k - 1/2) h, h = 1/4
+            expected = forcing((k - 0.5) / 4)
+            assert np.array_equal(traj.sources[k - 1].values, expected.values)
 
     def test_rejects_bad_arguments(self, spec):
         phi = mode_field(spec, 1)
@@ -310,15 +311,3 @@ class TestParabolicCompare:
             reports = parabolic_compare(omega, bspec, sigma, u0, None, 0.5, 2)
             outs.append(reports[-1].slices[0].V[-1])
         assert outs[0] != pytest.approx(outs[1], rel=1e-6)
-
-
-def test_trajectory_csv_export(spec, tmp_path):
-    from fracsym.parabolic import trajectory_to_csv
-
-    phi = mode_field(spec, 1)
-    traj = mild_solve(spec, 0.5, phi, None, 0.5, 2)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,t,cell,value"
-    assert len(lines) == 1 + 3 * spec.grid.n_cells

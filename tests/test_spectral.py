@@ -17,7 +17,7 @@ from fracsym import (
     build_operator,
     build_radial_ball,
     build_rectangle,
-    heat_semigroup,
+    implicit_step,
     solve_elliptic,
     unit_ball_measure,
 )
@@ -254,7 +254,7 @@ class TestBoxMatchesDenseOracle:
             lambda spec: apply_fractional(spec, sigma, u),
             lambda spec: solve_elliptic(spec, sigma, 0.0, f),
             lambda spec: solve_elliptic(spec, sigma, 0.5, u),
-            lambda spec: heat_semigroup(spec, t, u),
+            lambda spec: implicit_step(spec, sigma, t + 1e-3, u),
         ):
             a, b = op(box), op(dense)
             assert (a - b).norm(2) <= 1e-10 * max(b.norm(2), u.norm(2))
@@ -324,7 +324,7 @@ class TestBallMatchesDenseOracle:
             lambda spec: apply_fractional(spec, sigma, u),
             lambda spec: solve_elliptic(spec, sigma, 0.0, u),
             lambda spec: solve_elliptic(spec, sigma, 0.5, u),
-            lambda spec: heat_semigroup(spec, t, u),
+            lambda spec: implicit_step(spec, sigma, t + 1e-3, u),
         ):
             a, b = op(ball), op(dense)
             assert (a - b).norm(2) <= 1e-10 * max(b.norm(2), u.norm(2))
@@ -395,40 +395,3 @@ class TestSolve:
         u = solve_elliptic(spec, 0.5, 0.0, f)
         back = apply_fractional(spec, 0.5, u)
         assert (back - f).norm(2) < 1e-8
-
-
-class TestHeatSemigroup:
-    def test_identity_at_zero(self, interval_neumann):
-        spec = interval_neumann
-        rng = np.random.default_rng(6)
-        u = ScalarField(spec.grid, rng.standard_normal(spec.grid.n_cells))
-        assert (heat_semigroup(spec, 0.0, u) - u).norm(2) < 1e-10
-
-    def test_constants_invariant(self, interval_neumann):
-        spec = interval_neumann
-        const = ScalarField(spec.grid, np.full(spec.grid.n_cells, 2.0))
-        for t in (0.1, 1.0, 10.0):
-            assert (heat_semigroup(spec, t, const) - const).norm("inf") < 1e-12
-
-    def test_eigenmode_decay(self, interval_neumann):
-        spec = interval_neumann
-        phi = mode_field(spec, 1)
-        out = heat_semigroup(spec, 1.0, phi)
-        assert (out - math.exp(-spec.eigenvalues[1]) * phi).norm(2) < 1e-12
-
-    def test_semigroup_property(self, interval_neumann):
-        spec = interval_neumann
-        rng = np.random.default_rng(7)
-        u = ScalarField(spec.grid, rng.standard_normal(spec.grid.n_cells))
-        w1 = heat_semigroup(spec, 0.2, heat_semigroup(spec, 0.3, u))
-        w2 = heat_semigroup(spec, 0.5, u)
-        assert (w1 - w2).norm(2) < 1e-10
-
-
-def test_spectrum_csv_export(interval_neumann, tmp_path):
-    path = tmp_path / "spectrum.csv"
-    interval_neumann.spectrum_to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,eigenvalue"
-    assert len(lines) == 1 + interval_neumann.n_modes
-    assert float(lines[1].split(",")[1]) == 0.0
