@@ -4,7 +4,8 @@ Subcommands: elliptic-compare, parabolic-compare, extension-check,
 rearrange, selftest.  Configuration comes from a flat key=value file plus
 trailing key=value overrides; reports are written as JSON (sorted keys, so
 identical config + seed reproduces them byte for byte) with CSV curves for
-plotting.
+plotting.  This is the only module that writes files: the library returns
+data.
 
 Exit codes: 0 success/verdict holds, 1 verdict violation or selftest
 failure, 2 configuration or i/o error, 3 numerical failure.
@@ -13,6 +14,7 @@ failure, 2 configuration or i/o error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -20,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .grid import Grid, ScalarField, _build_box, build_radial_ball, write_csv, write_json
-from .rearrange import concentration, decreasing_rearrangement, profile_to_csv, curve_to_csv
+from .grid import Grid, ScalarField, _build_box, build_radial_ball
+from .rearrange import concentration, decreasing_rearrangement
 from .spectral import DENSE_CAP, EigendecompositionError, IncompatibleData, build_operator
 from .extension import dtn_residual, kappa, rho_prime
 from .compare import DominanceViolated, NonFiniteData, elliptic_compare, gamma_constant
@@ -41,6 +43,24 @@ _NUMERICAL_ERRORS = (
     EigendecompositionError,
     np.linalg.LinAlgError,
 )
+
+
+def _write_csv(path, header, rows):
+    """Header line, then one comma-separated line per row: ints, bools and
+    strings via str, every other value as repr(float(x)), which reads back
+    to the same float."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (str(x) if isinstance(x, (int, str)) else repr(float(x)) for x in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def _write_json(path, payload):
+    """payload as JSON with sorted keys and one-space indent, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _build_domain(cfg: ExperimentConfig) -> Grid:
@@ -89,8 +109,9 @@ def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
     payload = report.to_json_dict()
     payload["config"] = cfg.to_dict()
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "elliptic_report.json", payload)
-    report.write_csv(out / "elliptic_curves.csv")
+    _write_json(out / "elliptic_report.json", payload)
+    rows = ((sl.y, *pt) for sl in report.slices for pt in zip(sl.s, sl.U, sl.V, sl.chi))
+    _write_csv(out / "elliptic_curves.csv", ("y", "s", "U", "V", "chi"), rows)
     print(f"worst_gap = {report.worst_gap:.6e}  tol = {report.tolerance:.6e}  {report.verdict}")
     return EXIT_OK if report.holds else EXIT_VIOLATION
 
@@ -98,7 +119,7 @@ def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_parabolic(cfg: ExperimentConfig, out: Path) -> int:
     grid, omega_spec, ball_spec = _build_pair(cfg)
     u0 = _preset(grid, cfg, "u0", cfg.seed)
-    forcing = None if cfg.forcing in ("zero", "none") else _preset(
+    forcing = None if cfg.forcing == "zero" else _preset(
         grid, cfg, "forcing", cfg.seed + 1
     )
     reports = parabolic_compare(
@@ -118,8 +139,8 @@ def _cmd_parabolic(cfg: ExperimentConfig, out: Path) -> int:
         "all_hold": all(r.holds for r in reports),
     }
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "parabolic_report.json", payload)
-    write_csv(
+    _write_json(out / "parabolic_report.json", payload)
+    _write_csv(
         out / "parabolic_steps.csv",
         ("step", "t", "worst_gap", "tolerance", "verdict"),
         ((r.params["step"], r.params["t"], r.worst_gap, r.tolerance, r.verdict) for r in reports),
@@ -152,7 +173,7 @@ def _cmd_extension(cfg: ExperimentConfig, out: Path) -> int:
         rows.append((int(k), lam[k], flux / lam[k] ** cfg.sigma, *sweep, monotone))
     out.mkdir(parents=True, exist_ok=True)
     residuals = (f"residual_y{y:g}" for y in cfg.y_sweep)
-    write_csv(
+    _write_csv(
         out / "extension_check.csv", ("mode", "lambda", "flux_ratio", *residuals, "monotone"), rows
     )
     for k, l, ratio, *_, mono in rows:
@@ -187,8 +208,9 @@ def _cmd_rearrange(cfg: ExperimentConfig, out: Path, field_path: str) -> int:
     field = ScalarField(grid, np.asarray(raw))
     prof = decreasing_rearrangement(field)
     out.mkdir(parents=True, exist_ok=True)
-    profile_to_csv(prof, out / "profile.csv")
-    curve_to_csv(concentration(prof), out / "curve.csv")
+    curve = concentration(prof)
+    _write_csv(out / "profile.csv", ("s", "value"), zip(prof.breaks, prof.values))
+    _write_csv(out / "curve.csv", ("s", "value"), zip(curve.s, curve.F))
     print(f"wrote {grid.n_cells}-cell profile and concentration curve to {out}")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, ScalarField, unit_ball_measure, write_csv
+from .grid import Grid, ScalarField, unit_ball_measure
 from .rearrange import (
     ConcentrationCurve,
     add_curves,
@@ -173,10 +173,6 @@ class ComparisonReport:
             "split": [r.to_json_dict() for r in self.split_reports],
         }
 
-    def write_csv(self, path):
-        rows = ((sl.y, *pt) for sl in self.slices for pt in zip(sl.s, sl.U, sl.V, sl.chi))
-        write_csv(path, ("y", "s", "U", "V", "chi"), rows)
-
 
 def default_tolerance(omega_grid: Grid, f: ScalarField, tol_constant: float) -> float:
     """C_tol * h * ||f||_2; first-order-in-h model for rearrangement error."""
@@ -303,8 +299,6 @@ def dominated_compare(
     f: ScalarField,
     g: ScalarField,
     y_samples,
-    tol: float = None,
-    tol_constant: float = DEFAULT_TOL_CONSTANT,
     extra: ScalarField = None,
     g2: ScalarField = None,
     q: float = None,
@@ -314,7 +308,8 @@ def dominated_compare(
     g must be radially non-increasing on B with f1# + f2# < g (checked);
     an optional additive term `extra` on Omega requires its own dominating
     g2 with (extra+)# + (extra-)# < g2.  The Omega problem is solved with
-    f (+ extra), the ball problem with g (+ g2).
+    f (+ extra), the ball problem with g (+ g2).  The tolerance is the
+    default C_tol * h * ||f (+ extra)||_2.
     """
     fields = {"source f": f, "datum g": g, "extra term": extra, "datum g2": g2}
     _check_inputs(omega_spec.grid, ball_spec.grid, fields)
@@ -331,8 +326,7 @@ def dominated_compare(
         source = f + extra
     u = solve_elliptic(omega_spec, sigma, c, source)
     v = solve_elliptic(ball_spec, sigma, c, datum)
-    if tol is None:
-        tol = default_tolerance(omega_spec.grid, source, tol_constant)
+    tol = default_tolerance(omega_spec.grid, source, DEFAULT_TOL_CONSTANT)
     slices, _ = _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples)
     params = {**_params(omega_spec, ball_spec, sigma, c, q, mode), "dominated": True}
     return _report(slices, tol, params)

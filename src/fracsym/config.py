@@ -102,8 +102,11 @@ class ExperimentConfig:
             raise ConfigError(f"tol: must be >= 0 (unset derives it), got {self.tol}")
         if self.modes < 1:
             raise ConfigError(f"modes: must be >= 1, got {self.modes}")
-        if len(self.y_sweep) < 2 or min(self.y_sweep) <= 0:
-            raise ConfigError(f"y_sweep: needs at least two positive heights, got {self.y_sweep}")
+        ys = self.y_sweep
+        if len(ys) < 2 or min(ys) <= 0 or any(a <= b for a, b in zip(ys, ys[1:])):
+            raise ConfigError(
+                f"y_sweep: needs at least two positive, strictly decreasing heights, got {ys}"
+            )
         if self.gamma_exponent not in ("sigma", "half"):
             raise ConfigError(
                 f"gamma_exponent: must be 'sigma' or 'half', got {self.gamma_exponent!r}"
@@ -141,7 +144,7 @@ class ExperimentConfig:
         return out
 
 
-_KEY_ALIASES = {"Q": "q", "cells": "n"}
+_KEY_ALIASES = {"Q": "q"}
 
 
 def _coerce(cfg: ExperimentConfig, key: str, raw: str):

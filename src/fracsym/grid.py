@@ -9,7 +9,6 @@ all integrals, inner products and norms are weighted by them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ __all__ = [
     "build_interval",
     "build_rectangle",
     "build_radial_ball",
-    "write_csv",
-    "write_json",
 ]
 
 
@@ -32,24 +29,6 @@ def unit_ball_measure(dim: int) -> float:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-
-
-def write_csv(path, header, rows):
-    """Header line, then one comma-separated line per row: ints, bools and
-    strings via str, every other value as repr(float(x)), which reads back
-    to the same float."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = (str(x) if isinstance(x, (int, str)) else repr(float(x)) for x in row)
-            fh.write(",".join(cells) + "\n")
-
-
-def write_json(path, payload):
-    """payload as JSON with sorted keys and one-space indent, then a newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 @dataclass(frozen=True)

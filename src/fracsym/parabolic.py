@@ -19,7 +19,6 @@ from .spectral import SpectralOperator, apply_fractional
 from .compare import (
     DEFAULT_TOL_CONSTANT,
     _check_inputs,
-    _compare_extensions,
     _overflow_checked,
     _report,
     _slices,
@@ -149,13 +148,11 @@ def parabolic_compare(
     n: int,
     tol: float = None,
     tol_constant: float = DEFAULT_TOL_CONSTANT,
-    y_samples=None,
 ):
     """Step both problems with matched h and compare at every t_k.
 
     Returns one ComparisonReport per step, holding the trace-level (y = 0)
-    concentration slice and, when y_samples is given, extension-level
-    slices of the two states as well.
+    concentration slice of the two states.
     """
     fixed_forcing = forcing if isinstance(forcing, ScalarField) else None
     _check_inputs(
@@ -176,11 +173,7 @@ def parabolic_compare(
         tol = tol_constant * omega_spec.grid.cell_width * scale
     reports = []
     for k in range(1, n + 1):
-        u_k, v_k = omega_traj.state(k), states_v[k]
-        if y_samples is None:
-            slices = _slices([0.0], [u_k], [v_k], _split_curve)
-        else:
-            slices, _ = _compare_extensions(omega_spec, ball_spec, sigma, u_k, v_k, y_samples)
+        slices = _slices([0.0], [omega_traj.state(k)], [states_v[k]], _split_curve)
         params = {
             "step": k,
             "t": float(omega_traj.times[k]),

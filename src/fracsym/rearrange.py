@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, unit_ball_measure, write_csv
+from .grid import Grid, ScalarField, unit_ball_measure
 
 __all__ = [
     "RearrangedProfile",
@@ -28,8 +28,6 @@ __all__ = [
     "concentration",
     "add_curves",
     "less_concentrated",
-    "profile_to_csv",
-    "curve_to_csv",
 ]
 
 
@@ -99,7 +97,6 @@ class OrderVerdict:
 
     gap: float
     s_at_gap: float
-    tol: float
     holds: bool
 
 
@@ -226,13 +223,4 @@ def less_concentrated(
     gaps = f_curve.eval(s) - g_curve.eval(s)
     i = int(np.argmax(gaps))
     gap = float(gaps[i])
-    return OrderVerdict(gap=gap, s_at_gap=float(s[i]), tol=tol, holds=gap <= tol)
-
-
-def profile_to_csv(profile: RearrangedProfile, path):
-    """Write (s, value) rows, one per block right edge."""
-    write_csv(path, ("s", "value"), zip(profile.breaks, profile.values))
-
-
-def curve_to_csv(curve: ConcentrationCurve, path):
-    write_csv(path, ("s", "value"), zip(curve.s, curve.F))
+    return OrderVerdict(gap=gap, s_at_gap=float(s[i]), holds=gap <= tol)

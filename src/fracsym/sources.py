@@ -86,12 +86,12 @@ def eigenmode_source(grid: Grid, k: int = 1) -> ScalarField:
     return ScalarField(grid, _mode_values(grid, _mode_table(grid, k)[-1:])[0])
 
 
-def two_bump_source(grid: Grid, width: float = 0.1) -> ScalarField:
-    """Two Gaussian bumps of opposite sign on the domain diagonal."""
+def two_bump_source(grid: Grid) -> ScalarField:
+    """Two Gaussian bumps of opposite sign on the domain diagonal, centred
+    at 0.3 and 0.7 of each side, with width 0.1 of the shortest side."""
     if grid.kind == "radial_ball":
         raise ValueError("the two-bump preset needs a box grid, got the radial ball")
-    scale = min(grid.lengths)
-    w = width * scale
+    w = 0.1 * min(grid.lengths)
     lo = 0.3 * np.asarray(grid.lengths)
     hi = 0.7 * np.asarray(grid.lengths)
     d1 = np.sum((grid.centroids - lo) ** 2, axis=1)
@@ -123,7 +123,7 @@ def make_source(grid: Grid, spec: str, seed: int = 0, project: bool = False) -> 
     name = name.strip().lower()
     if name == "eigenmode":
         f = eigenmode_source(grid, int(arg) if arg else 1)
-    elif name in ("two-bump", "two_bump"):
+    elif name == "two-bump":
         f = two_bump_source(grid)
     elif name == "random":
         f = random_band_source(grid, seed, int(arg) if arg else 12)

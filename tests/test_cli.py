@@ -53,6 +53,9 @@ class TestConfig:
             "y_sweep=0.1,0",
             "y_sweep=0.1",
             "y_sweep=",
+            "y_sweep=0.001,0.01,0.1",
+            "y_sweep=0.1,0.1",
+            "cells=8",
         ],
     )
     def test_rejections_name_field(self, override):
@@ -314,6 +317,8 @@ class TestRearrangeCommand:
         ("elliptic-compare", "source=eigenmode:200"),
         ("elliptic-compare", "source=random:0"),
         ("parabolic-compare", "u0=random:0"),
+        ("elliptic-compare", "source=two_bump"),
+        ("parabolic-compare", "forcing=none"),
     ],
 )
 def test_unknown_preset_is_config_error(tmp_path, capsys, command, override):

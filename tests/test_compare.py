@@ -24,7 +24,6 @@ from fracsym import (
     symmetrized_data,
 )
 from fracsym.compare import default_tolerance
-from fracsym.grid import write_json
 from fracsym.sources import eigenmode_source, project_zero_mean, random_band_source
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)
@@ -200,7 +199,7 @@ class TestEllipticCompare:
         assert labels == {"positive", "negative"}
         assert all(r.holds for r in rep.split_reports)
 
-    def test_report_json_schema_and_determinism(self, square_pair, tmp_path):
+    def test_report_json_schema_and_determinism(self, square_pair):
         grid, omega, bspec = square_pair
         f = project_zero_mean(random_band_source(grid, 9))
         blobs = []
@@ -211,9 +210,6 @@ class TestEllipticCompare:
         data = json.loads(blobs[0])
         assert set(data) == {"params", "per_y", "worst_gap", "tolerance", "verdict", "split"}
         assert {"y", "s", "U", "V", "chi"} <= set(data["per_y"][0])
-        write_json(tmp_path / "r.json", rep.to_json_dict())
-        rep.write_csv(tmp_path / "r.csv")
-        assert (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
 
 
 class TestScalingCoherence:

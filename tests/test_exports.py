@@ -34,6 +34,13 @@ def test_no_unused_imports(name):
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m not in ("fracsym.cli", "fracsym.config")])
+def test_library_writes_no_files(name):
+    # the library returns data: the CLI writes every file, and config reads its own
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "open"] == []
+
+
 def test_readme_documents_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| key | default | meaning |")[1].split("\n\n")[0]

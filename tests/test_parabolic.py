@@ -288,16 +288,6 @@ class TestParabolicCompare:
         assert np.max(np.abs(sl.U - np.interp(sl.s, sl2.s, sl2.U))) < 1e-10
         assert np.max(np.abs(sl.V - np.interp(sl.s, sl2.s, sl2.V))) < 1e-10
 
-    def test_extension_level_slices(self, spec):
-        ball = build_radial_ball(64, 1, 0.5)
-        bspec = build_operator(ball, gamma_constant(1, 1.0))
-        u0 = mode_field(spec, 1)
-        reports = parabolic_compare(
-            spec, bspec, 0.5, u0, None, 0.5, 2, y_samples=[0.0, 0.2]
-        )
-        assert all(len(r.slices) == 2 for r in reports)
-        assert all(r.holds for r in reports)
-
     def test_gamma_exponent_switch_changes_ball_solution(self):
         grid = build_rectangle(12, 12, 1.0, 1.0, "neumann")
         omega = build_operator(grid)
