@@ -155,7 +155,10 @@ def _cmd_extension(cfg: ExperimentConfig, out: Path) -> int:
     grid = _build_domain(cfg)
     spec = build_operator(grid)
     lam = spec.eigenvalues
-    nonzero = np.nonzero(lam > 0)[0][: cfg.modes]
+    nonzero = np.nonzero(lam > 0)[0]
+    if cfg.modes > nonzero.size:
+        raise ConfigError(f"modes: the grid has {nonzero.size} nonzero modes, got {cfg.modes}")
+    nonzero = nonzero[: cfg.modes]
     rows = []
     all_monotone = True
     for k in nonzero:

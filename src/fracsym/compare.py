@@ -21,7 +21,8 @@ import numpy as np
 from .grid import Grid, ScalarField, unit_ball_measure
 from .rearrange import (
     ConcentrationCurve,
-    add_curves,
+    _sorted_desc,
+    _sorted_median,
     concentration,
     decreasing_rearrangement,
     less_concentrated,
@@ -70,8 +71,11 @@ def gamma_constant(dim: int, q: float) -> float:
 
 
 def _check_inputs(omega_grid: Grid, ball_grid: Grid, data: dict):
-    """Entry check of every comparison: |B| = |Omega|/2, and each labelled
-    field (or sequence of fields) in data is finite; None entries pass."""
+    """Entry check of every comparison: Omega is a box (the U curve relies
+    on its equal cells), |B| = |Omega|/2, and each labelled field (or
+    sequence of fields) in data is finite; None entries pass."""
+    if omega_grid.kind == "radial_ball":
+        raise ValueError("Omega must be an interval or a rectangle, got a radial ball")
     half = omega_grid.total_measure / 2.0
     if abs(ball_grid.total_measure - half) > _BALL_MEASURE_TOL * max(half, 1.0):
         raise ValueError(
@@ -184,8 +188,23 @@ def _curve(f: ScalarField) -> ConcentrationCurve:
 
 
 def _split_curve(w_layer: ScalarField) -> ConcentrationCurve:
-    """U-curve of one layer: median split then summed rearranged integrals."""
-    return add_curves(*(_curve(part) for part in median_split(w_layer)))
+    """U-curve of one box layer, the running integral of w1* + w2* where
+    w1, w2 = median_split(w_layer), from one sort of the layer.
+
+    With desc the layer sorted descending and m its median, x -> fl(x - m)
+    and max(., 0) are monotone, so max(desc - m, 0) is w1*, bit for bit;
+    fl(-(x - m)) = -fl(x - m), so max(-(desc - m) reversed, 0) is w2*.
+    Box cells share one measure, so both parts have the breakpoints
+    [0, cumsum(measures)], and U is the sum of their running integrals
+    there: the bytes add_curves gives for the two curves of median_split.
+    """
+    desc, meas = _sorted_desc(w_layer, signed=True)
+    shifted = desc - _sorted_median(desc, meas, w_layer.grid.total_measure)
+    pos, neg = np.maximum(shifted, 0.0), np.maximum(-shifted[::-1], 0.0)
+    F = np.cumsum(pos * meas) + np.cumsum(neg * meas)
+    return ConcentrationCurve(
+        s=np.concatenate([[0.0], np.cumsum(meas)]), F=np.concatenate([[0.0], F])
+    )
 
 
 def _slices(ys, w_layers, xi_layers, u_curve) -> list:

@@ -71,6 +71,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: must be finite, got {val}")
         if self.domain not in ("interval", "rectangle"):
             raise ConfigError(f"domain: must be 'interval' or 'rectangle', got {self.domain!r}")
+        if self.domain == "interval":
+            for key in ("nx", "ny", "lx", "ly"):
+                if getattr(self, key):
+                    raise ConfigError(f"{key}: applies to domain=rectangle only")
         if not 0.0 < self.sigma < 1.0:
             raise ConfigError(f"sigma: must lie in (0, 1), got {self.sigma}")
         if self.c < 0:

@@ -109,10 +109,18 @@ def distribution_function(field: ScalarField, k: float) -> float:
 
 
 def _sorted_desc(field: ScalarField, signed: bool = False):
-    """Values sorted descending with deterministic tie-break by cell index."""
+    """Values sorted descending, with the measures of their cells.
+
+    Box cells all have one measure, so a box sorts its values alone and
+    returns its measures as they are.  Ball shells differ, so the ball
+    permutes values and measures together, ties broken by shell index.
+    """
     v = field.values if signed else np.abs(field.values)
-    order = np.lexsort((np.arange(v.size), -v))
-    return v[order], field.grid.measures[order]
+    grid = field.grid
+    if grid.kind != "radial_ball":
+        return np.sort(v)[::-1], grid.measures
+    order = np.argsort(-v, kind="stable")
+    return v[order], grid.measures[order]
 
 
 def decreasing_rearrangement(field: ScalarField) -> RearrangedProfile:
@@ -159,7 +167,12 @@ def median(field: ScalarField) -> float:
     """Weighted median per the infimum definition:
     inf{k : measure{u > k} <= |Omega|/2}, exact over the value set."""
     vals, meas = _sorted_desc(field, signed=True)
-    total = field.grid.total_measure
+    return _sorted_median(vals, meas, field.grid.total_measure)
+
+
+def _sorted_median(vals: np.ndarray, meas: np.ndarray, total: float) -> float:
+    """median() of the values vals, sorted descending, on cells of measures
+    meas and total measure total."""
     # cumsum round-off must not flip an exact half/half tie
     half = total / 2.0 + 1e-12 * total
     change = np.nonzero(np.diff(vals))[0]

@@ -348,6 +348,21 @@ def test_ball_over_cap_is_config_error(tmp_path, capsys, override):
     assert "ball_shells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["nx=5", "ny=5", "lx=3", "ly=3"])
+def test_rectangle_key_on_interval_is_config_error(tmp_path, capsys, override):
+    argv = ["elliptic-compare", "--out", str(tmp_path), "domain=interval", "n=16", override]
+    assert main(argv) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
+def test_more_modes_than_the_grid_has_is_config_error(tmp_path, capsys):
+    # 8 cells carry 7 nonzero modes
+    argv = ["extension-check", "--out", str(tmp_path), "domain=interval", "n=8"]
+    assert main(argv + ["modes=7"]) == 0
+    assert main(argv + ["modes=8"]) == 2
+    assert "modes" in capsys.readouterr().err
+
+
 def test_cap_leaves_commands_without_a_ball(tmp_path):
     argv = ["extension-check", "--out", str(tmp_path), "domain=interval", "n=12001", "modes=1"]
     assert main(argv) == 0

@@ -93,6 +93,13 @@ class TestSymmetrizedData:
         with pytest.raises(ValueError):
             symmetrized_data(ScalarField(g, np.ones(20)), ball)
 
+    def test_rejects_ball_as_omega(self):
+        # the U curve assumes the equal cells of a box
+        omega = build_radial_ball(16, 1, 1.0)
+        ball = build_radial_ball(8, 1, 0.5)
+        with pytest.raises(ValueError, match="Omega"):
+            symmetrized_data(ScalarField(omega, np.ones(16)), ball)
+
     def test_radially_nonincreasing(self):
         g = build_interval(30, 1.0)
         rng = np.random.default_rng(0)
