@@ -49,7 +49,6 @@ from .compare import (
 )
 from .parabolic import (
     Trajectory,
-    effective_gamma,
     implicit_step,
     mild_solve,
     parabolic_compare,

@@ -27,7 +27,7 @@ from .rearrange import concentration, decreasing_rearrangement
 from .spectral import DENSE_CAP, EigendecompositionError, IncompatibleData, build_operator
 from .extension import dtn_residual, kappa, rho_prime
 from .compare import DominanceViolated, NonFiniteData, elliptic_compare, gamma_constant
-from .parabolic import effective_gamma, parabolic_compare
+from .parabolic import parabolic_compare
 from .sources import make_source
 from .selftest import run_suites
 
@@ -76,10 +76,9 @@ def _build_pair(cfg: ExperimentConfig):
         )
     grid = _build_domain(cfg)
     omega_spec = build_operator(grid)
-    gamma = cfg.gamma or gamma_constant(grid.dimension, cfg.q_value())
-    gamma_eff = effective_gamma(gamma, cfg.sigma, cfg.gamma_exponent)
+    gamma = cfg.gamma if cfg.gamma is not None else gamma_constant(grid.dimension, cfg.q_value())
     ball = build_radial_ball(cfg.shells(), grid.dimension, grid.total_measure / 2.0)
-    ball_spec = build_operator(ball, gamma_eff)
+    ball_spec = build_operator(ball, gamma)
     return grid, omega_spec, ball_spec
 
 
@@ -103,7 +102,7 @@ def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
         cfg.y_samples,
         tol=cfg.tol,
         tol_constant=cfg.tol_constant,
-        q=None if cfg.gamma else cfg.q_value(),  # Q is reported only when it set gamma
+        q=cfg.q_value() if cfg.gamma is None else None,  # reported only when it set gamma
         split_mode=cfg.split_mode,
     )
     payload = report.to_json_dict()
@@ -224,7 +223,7 @@ def _cmd_selftest(seed: int) -> int:
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracsym",
         description="concentration-comparison experiments for fractional "
@@ -234,17 +233,17 @@ def main(argv=None) -> int:
     for name in ("elliptic-compare", "parabolic-compare", "extension-check", "rearrange"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--gamma-exponent", choices=("sigma", "half"), default=None)
-        p.add_argument("--split-mode", action="store_true", default=False)
         if name == "rearrange":
             p.add_argument("--field", default=None, help="CSV of cell values")
         p.add_argument("overrides", nargs="*", metavar="key=value")
     # selftest runs fixed problems, so it takes only a seed
     sub.add_parser("selftest").add_argument("--seed", type=int, default=0)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse: usage error (2) or --help (0)
         return exc.code
     if args.command == "selftest":
@@ -252,15 +251,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.gamma_exponent is not None:
-            cfg.gamma_exponent = args.gamma_exponent
-        if args.split_mode:
-            cfg.split_mode = True
-        cfg.validate()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

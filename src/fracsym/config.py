@@ -4,6 +4,8 @@ overrides; no structured-config dependency."""
 from __future__ import annotations
 
 import math
+import types
+import typing
 from dataclasses import dataclass, fields
 
 from .compare import DEFAULT_TOL_CONSTANT
@@ -12,7 +14,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides"]
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)  # conjectural half-cut value, overridable
 INTERVAL_Q = 1.0  # conjectural, overridable
-_AXIS_KEYS = {"n": ("nx", "ny"), "length": ("lx", "ly")}  # rectangle overrides
+_DIMENSION = {"interval": 1, "rectangle": 2}
 
 
 class ConfigError(ValueError):
@@ -30,23 +32,19 @@ def _as_bool(raw: str, key: str) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    # domain
+    # domain; n and length take one value for every axis, or one per axis
     domain: str = "rectangle"
-    n: int = 64
-    nx: int = 0  # 0 = inherit n
-    ny: int = 0
-    length: float = 1.0
-    lx: float = 0.0  # 0 = inherit length
-    ly: float = 0.0
-    ball_shells: int = 0  # 0 = match resolution
+    n: tuple[int, ...] = (64,)
+    length: tuple[float, ...] = (1.0,)
+    ball_shells: int | None = None  # None = largest resolution
     # problem
     sigma: float = 0.5
     c: float = 0.0
-    q: float = 0.0  # 0 = domain default
-    gamma: float = 0.0  # 0 = derive from q
+    Q: float | None = None  # None = domain default
+    gamma: float | None = None  # None = derive from Q
     source: str = "eigenmode:1"
     project_compatible: bool = True
-    y_samples: tuple = (0.0, 0.1, 1.0)
+    y_samples: tuple[float, ...] = (0.0, 0.1, 1.0)
     tol_constant: float = DEFAULT_TOL_CONSTANT
     tol: float | None = None  # None = derive from tol_constant
     # parabolic
@@ -56,11 +54,10 @@ class ExperimentConfig:
     forcing: str = "zero"
     # extension sweep
     modes: int = 5
-    y_sweep: tuple = (0.1, 0.01, 0.001)
+    y_sweep: tuple[float, ...] = (0.1, 0.01, 0.001)
     # run
     seed: int = 0
     out: str = "."
-    gamma_exponent: str = "sigma"
     split_mode: bool = False
 
     def validate(self):
@@ -69,31 +66,28 @@ class ExperimentConfig:
             entries = val if isinstance(val, tuple) else (val,)
             if isinstance(val, (float, tuple)) and not all(map(math.isfinite, entries)):
                 raise ConfigError(f"{f.name}: must be finite, got {val}")
-        if self.domain not in ("interval", "rectangle"):
+        if self.domain not in _DIMENSION:
             raise ConfigError(f"domain: must be 'interval' or 'rectangle', got {self.domain!r}")
-        if self.domain == "interval":
-            for key in ("nx", "ny", "lx", "ly"):
-                if getattr(self, key):
-                    raise ConfigError(f"{key}: applies to domain=rectangle only")
+        for key in ("n", "length"):
+            val = getattr(self, key)
+            if len(val) not in (1, _DIMENSION[self.domain]):
+                raise ConfigError(
+                    f"{key}: give one value, or one per axis of the {self.domain}, got {val}"
+                )
         if not 0.0 < self.sigma < 1.0:
             raise ConfigError(f"sigma: must lie in (0, 1), got {self.sigma}")
         if self.c < 0:
             raise ConfigError(f"c: must be nonnegative, got {self.c}")
-        if self.q < 0:
-            raise ConfigError(f"Q: must be positive, got {self.q}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma: must be positive, got {self.gamma}")
-        # checked when set, and when used even if 0: n=0 with nx, ny unset
-        # would build a grid of no cells
-        used = self._axis_keys("n") + self._axis_keys("length")
-        for key in ("n", "nx", "ny", "ball_shells"):
+        for key in ("Q", "gamma"):
             val = getattr(self, key)
-            if (val or key in used) and val < 2:
-                raise ConfigError(f"{key}: resolutions must be >= 2, got {val}")
-        for key in ("length", "lx", "ly"):
-            val = getattr(self, key)
-            if (val or key in used) and val <= 0:
-                raise ConfigError(f"{key}: must be positive, got {val}")
+            if val is not None and val <= 0:
+                raise ConfigError(f"{key}: must be positive (unset derives it), got {val}")
+        if min(self.n) < 2:
+            raise ConfigError(f"n: resolutions must be >= 2, got {self.n}")
+        if self.ball_shells is not None and self.ball_shells < 2:
+            raise ConfigError(f"ball_shells: must be >= 2, got {self.ball_shells}")
+        if min(self.length) <= 0:
+            raise ConfigError(f"length: must be positive, got {self.length}")
         if self.T <= 0:
             raise ConfigError(f"T: must be positive, got {self.T}")
         if self.steps < 1:
@@ -111,34 +105,25 @@ class ExperimentConfig:
             raise ConfigError(
                 f"y_sweep: needs at least two positive, strictly decreasing heights, got {ys}"
             )
-        if self.gamma_exponent not in ("sigma", "half"):
-            raise ConfigError(
-                f"gamma_exponent: must be 'sigma' or 'half', got {self.gamma_exponent!r}"
-            )
         return self
 
     # resolved accessors -------------------------------------------------
-    def _axis_keys(self, base: str) -> tuple:
-        """Per axis, the key whose value is used: `base` ("n" or "length")
-        on the interval; on the rectangle the per-axis key, or `base` where
-        that key is 0 (inherit)."""
-        if self.domain == "interval":
-            return (base,)
-        return tuple(key if getattr(self, key) else base for key in _AXIS_KEYS[base])
+    def _per_axis(self, values: tuple) -> tuple:
+        return values * _DIMENSION[self.domain] if len(values) == 1 else values
 
     def resolution(self):
-        return tuple(getattr(self, key) for key in self._axis_keys("n"))
+        return self._per_axis(self.n)
 
     def sides(self):
-        return tuple(getattr(self, key) for key in self._axis_keys("length"))
+        return self._per_axis(self.length)
 
     def q_value(self) -> float:
-        if self.q:
-            return self.q
+        if self.Q is not None:
+            return self.Q
         return INTERVAL_Q if self.domain == "interval" else SQUARE_Q
 
     def shells(self) -> int:
-        return self.ball_shells or max(self.resolution())
+        return max(self.resolution()) if self.ball_shells is None else self.ball_shells
 
     def to_dict(self) -> dict:
         out = {}
@@ -148,26 +133,27 @@ class ExperimentConfig:
         return out
 
 
-_KEY_ALIASES = {"Q": "q"}
+_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _coerce(cfg: ExperimentConfig, key: str, raw: str):
-    key = _KEY_ALIASES.get(key, key)
-    if not hasattr(cfg, key):
+    """Set `key` from `raw`, parsed by the field's declared type: a bool,
+    int, float or str, optionally `| None`, or a comma list of ints or
+    floats."""
+    if key not in _TYPES:
         raise ConfigError(f"{key}: unknown configuration key")
-    current = getattr(cfg, key)
+    kind = _TYPES[key]
+    if typing.get_origin(kind) is types.UnionType:  # X | None
+        kind = typing.get_args(kind)[0]
     raw = raw.strip()
     try:
-        if isinstance(current, bool):
+        if kind is bool:
             value = _as_bool(raw, key)
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float) or current is None:  # None: unset tol
-            value = float(raw)
-        elif isinstance(current, tuple):
-            value = tuple(float(x) for x in raw.split(",") if x.strip())
+        elif typing.get_origin(kind) is tuple:
+            entry = typing.get_args(kind)[0]
+            value = tuple(entry(x) for x in raw.split(",") if x.strip())
         else:
-            value = raw
+            value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
     setattr(cfg, key, value)

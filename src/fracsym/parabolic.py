@@ -30,7 +30,6 @@ __all__ = [
     "Trajectory",
     "implicit_step",
     "mild_solve",
-    "effective_gamma",
     "symmetrized_parabolic_problem",
     "parabolic_compare",
 ]
@@ -103,23 +102,6 @@ def mild_solve(
     return Trajectory(
         spec=spec, sigma=sigma, h=h, times=times, states=tuple(states), sources=tuple(sources)
     )
-
-
-def effective_gamma(gamma: float, sigma: float, exponent: str = "sigma") -> float:
-    """Diffusion to build the ball operator with, so the step multipliers
-    realize either reading of the symmetrized operator.
-
-    "sigma": (-gamma Lap)^sigma, multipliers gamma^sigma * lambda^sigma.
-    "half":  gamma^(1/2) (-Lap)^sigma; obtained by feeding gamma^(1/(2 sigma))
-    into the assembly so the sigma-power lands on gamma^(1/2).
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if exponent == "sigma":
-        return gamma
-    if exponent == "half":
-        return gamma ** (1.0 / (2.0 * sigma))
-    raise ValueError(f"gamma exponent must be 'sigma' or 'half', got {exponent!r}")
 
 
 def symmetrized_parabolic_problem(u0: ScalarField, f_samples, ball_grid: Grid):

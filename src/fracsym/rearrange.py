@@ -200,12 +200,12 @@ def concentration(profile: RearrangedProfile) -> ConcentrationCurve:
 
 
 def union_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted union with near-duplicate points (cumsum round-off twins)
-    collapsed; keeps the first and last points."""
+    """Sorted union with near-duplicate points (cumsum round-off twins, closer
+    than 1e-12 of the span) collapsed; keeps the first and last points."""
     s = np.union1d(a, b)
     if s.size <= 2:
         return s
-    tol = 1e-12 * max(float(s[-1] - s[0]), 1.0)
+    tol = 1e-12 * float(s[-1] - s[0])
     keep = np.ones(s.size, dtype=bool)
     keep[:-1] = np.diff(s) > tol
     keep[0] = True

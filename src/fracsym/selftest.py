@@ -2,9 +2,11 @@
 
 equality: cos(pi x) on (0, 1) against the half ball with gamma = 1/4 has
 U = V in the continuum, so every elliptic and parabolic run holds with
-max|chi| <= h^2.  negative-control: the gamma^(1/2) reading at sigma = 0.8
-leaves a gap of 200 h^2, which must read "violated".  determinism: a seeded
-report reproduces byte for byte.  Invariants of the parts live in pytest.
+max|chi| <= h^2.  negative-control: the same problem at sigma = 0.8 with
+gamma = (1/4)^(1/1.6) = 0.42045, which puts gamma^(1/2) on the ball's
+multipliers, leaves a gap of 200 h^2 and must read "violated".
+determinism: a seeded report reproduces byte for byte.  Invariants of the
+parts live in pytest.
 """
 
 from __future__ import annotations
@@ -18,17 +20,16 @@ from .config import SQUARE_Q
 from .grid import build_interval, build_radial_ball, build_rectangle
 from .spectral import build_operator
 from .compare import elliptic_compare, gamma_constant
-from .parabolic import effective_gamma, parabolic_compare
+from .parabolic import parabolic_compare
 from .sources import eigenmode_source, project_zero_mean, random_band_source
 
 __all__ = ["run_suites", "SUITES"]
 _Y = (0.0, 0.1, 1.0)  # extension heights compared
 
 
-def _equality_case(exponent: str = "sigma", sigma: float = 0.8):
-    """64 cells, 64 shells read with `exponent` at sigma, cos(pi x), h^2."""
+def _equality_case(gamma: float = gamma_constant(1, 1.0)):
+    """64 cells, 64 shells with diffusion gamma, cos(pi x), h^2."""
     grid = build_interval(64, 1.0)
-    gamma = effective_gamma(gamma_constant(1, 1.0), sigma, exponent)
     ball = build_operator(build_radial_ball(64, 1, 0.5), gamma)
     return build_operator(grid), ball, eigenmode_source(grid, 1), grid.cell_width**2
 
@@ -45,7 +46,8 @@ def _equality(seed):
 
 
 def _negative_control(seed):
-    omega, ball, f, tol = _equality_case("half", 0.8)
+    # gamma^(1/(2 sigma)) puts gamma^(1/2) on the ball's multipliers at sigma 0.8
+    omega, ball, f, tol = _equality_case(gamma_constant(1, 1.0) ** (1.0 / (2.0 * 0.8)))
     rep = elliptic_compare(omega, ball, 0.8, 0.0, f, _Y, tol=tol)
     return rep.verdict == "violated", f"{rep.verdict}, gap = {rep.worst_gap / tol:.0f} h^2"
 

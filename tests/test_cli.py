@@ -25,9 +25,9 @@ class TestConfig:
         path.write_text("# comment\nsigma = 0.3\nn = 24\ny_samples = 0, 0.5\n")
         cfg = load_config(path, ["sigma=0.7", "Q=0.9"])
         assert cfg.sigma == 0.7  # override wins
-        assert cfg.n == 24
+        assert cfg.n == (24,)
         assert cfg.y_samples == (0.0, 0.5)
-        assert cfg.q == 0.9
+        assert cfg.Q == 0.9
 
     def test_domain_defaults_for_q(self):
         assert load_config(None, ["domain=interval"]).q_value() == 1.0
@@ -56,12 +56,22 @@ class TestConfig:
             "y_sweep=0.001,0.01,0.1",
             "y_sweep=0.1,0.1",
             "cells=8",
+            "gamma=0",
+            "Q=0",
+            "ball_shells=0",
+            "domain=interval n=8,8",
+            "n=8,8,8",
+            "length=1,1,1",
+            "nx=8",
+            "q=0.5",
+            "gamma_exponent=half",
         ],
     )
     def test_rejections_name_field(self, override):
+        # the last of the space-separated overrides is the one rejected
         with pytest.raises(ConfigError) as err:
-            load_config(None, [override])
-        assert override.split("=")[0].lstrip("-") in str(err.value)
+            load_config(None, override.split())
+        assert override.split()[-1].split("=")[0] in str(err.value)
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -77,7 +87,7 @@ class TestConfig:
 class TestEllipticCommand:
     def test_holds_and_writes_reports(self, tmp_path):
         code = main(
-            ["elliptic-compare", "--out", str(tmp_path), "n=12", "source=eigenmode:1", "seed=1"]
+            ["elliptic-compare", f"out={tmp_path}", "n=12", "source=eigenmode:1", "seed=1"]
         )
         assert code == 0
         report = json.loads((tmp_path / "elliptic_report.json").read_text())
@@ -88,18 +98,17 @@ class TestEllipticCommand:
     def test_violation_exit_code(self, tmp_path):
         # an absurdly large diffusion starves the ball problem
         code = main(
-            ["elliptic-compare", "--out", str(tmp_path), "n=12", "gamma=1e9", "tol=1e-9"]
+            ["elliptic-compare", f"out={tmp_path}", "n=12", "gamma=1e9", "tol=1e-9"]
         )
         assert code == 1
-        # tol=0 is an exact tolerance, not "derive": the gamma^(1/2) reading
-        # leaves a gap of 0.049, under the derived 10 h ||f||_2 = 0.156
+        # tol=0 is an exact tolerance, not "derive": gamma = (1/4)^(1/1.6), which
+        # puts gamma^(1/2) on the ball's multipliers, leaves a gap of 0.049,
+        # under the derived 10 h ||f||_2 = 0.156
         code = main(
             [
                 "elliptic-compare",
-                "--gamma-exponent",
-                "half",
-                "--out",
-                str(tmp_path),
+                "gamma=0.4204482076268573",
+                f"out={tmp_path}",
                 "domain=interval",
                 "n=64",
                 "sigma=0.8",
@@ -113,18 +122,18 @@ class TestEllipticCommand:
     def test_q_reported_only_when_it_set_gamma(self, tmp_path):
         params = []
         for extra in (["gamma=0.3"], []):
-            assert main(["elliptic-compare", "--out", str(tmp_path), "n=16", *extra]) == 0
+            assert main(["elliptic-compare", f"out={tmp_path}", "n=16", *extra]) == 0
             params.append(json.loads((tmp_path / "elliptic_report.json").read_text())["params"])
         assert params[0]["gamma"] == 0.3 and params[0]["Q"] is None
         assert params[1]["Q"] == pytest.approx(2**-0.5)
         assert params[1]["gamma"] == pytest.approx(1.0 / (2.0 * math.pi))
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        assert main(["elliptic-compare", "--out", str(tmp_path), "sigma=1.5"]) == 2
+        assert main(["elliptic-compare", f"out={tmp_path}", "sigma=1.5"]) == 2
         assert "sigma" in capsys.readouterr().err
 
     def test_non_finite_source_exit_code(self, tmp_path, capsys):
-        code = main(["elliptic-compare", "--out", str(tmp_path), "n=12", "source=constant:nan"])
+        code = main(["elliptic-compare", f"out={tmp_path}", "n=12", "source=constant:nan"])
         assert code == 3
         assert "source" in capsys.readouterr().err
 
@@ -132,8 +141,7 @@ class TestEllipticCommand:
         code = main(
             [
                 "elliptic-compare",
-                "--out",
-                str(tmp_path),
+                f"out={tmp_path}",
                 "n=12",
                 "source=constant:1e300",
                 "c=1",
@@ -145,7 +153,7 @@ class TestEllipticCommand:
 
     def test_huge_source_gets_a_verdict(self, tmp_path):
         code = main(
-            ["elliptic-compare", "--out", str(tmp_path), "n=12", "source=constant:1e300", "c=1"]
+            ["elliptic-compare", f"out={tmp_path}", "n=12", "source=constant:1e300", "c=1"]
         )
         assert code == 0
         report = json.loads((tmp_path / "elliptic_report.json").read_text())
@@ -156,7 +164,7 @@ class TestEllipticCommand:
     def test_out_is_a_file_exit_code(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
-        assert main(["elliptic-compare", "--out", str(out), "n=12"]) == 2
+        assert main(["elliptic-compare", f"out={out}", "n=12"]) == 2
         assert str(out) in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path):
@@ -164,8 +172,7 @@ class TestEllipticCommand:
         code = main(
             [
                 "elliptic-compare",
-                "--out",
-                str(tmp_path),
+                f"out={tmp_path}",
                 "n=12",
                 "source=constant",
                 "project_compatible=false",
@@ -177,7 +184,7 @@ class TestEllipticCommand:
         blobs = []
         for _ in range(2):
             assert main(
-                ["elliptic-compare", "--out", str(tmp_path), "n=12", "source=random", "seed=9"]
+                ["elliptic-compare", f"out={tmp_path}", "n=12", "source=random", "seed=9"]
             ) == 0
             blobs.append((tmp_path / "elliptic_report.json").read_bytes())
         assert blobs[0] == blobs[1]
@@ -188,8 +195,7 @@ class TestParabolicCommand:
         code = main(
             [
                 "parabolic-compare",
-                "--out",
-                str(tmp_path),
+                f"out={tmp_path}",
                 "n=12",
                 "steps=4",
                 "T=0.5",
@@ -213,7 +219,7 @@ class TestParabolicCommand:
         ],
     )
     def test_non_finite_exit_code(self, tmp_path, capsys, overrides, needle):
-        args = ["parabolic-compare", "--out", str(tmp_path), "n=12", "steps=2", *overrides]
+        args = ["parabolic-compare", f"out={tmp_path}", "n=12", "steps=2", *overrides]
         assert main(args) == 3
         err = capsys.readouterr().err
         assert needle in err and "Warning" not in err
@@ -222,10 +228,8 @@ class TestParabolicCommand:
         # a gap of 0.084 that the derived 10 h ||u0||_2 = 0.110 would absorb
         argv = [
             "parabolic-compare",
-            "--gamma-exponent",
-            "half",
-            "--out",
-            str(tmp_path),
+            "gamma=0.4204482076268573",
+            f"out={tmp_path}",
             "domain=interval",
             "n=64",
             "sigma=0.8",
@@ -238,13 +242,13 @@ class TestParabolicCommand:
         assert {step["tolerance"] for step in report["steps"]} == {0.0}
 
     def test_zero_steps_rejected(self, tmp_path):
-        assert main(["parabolic-compare", "--out", str(tmp_path), "steps=0"]) == 2
+        assert main(["parabolic-compare", f"out={tmp_path}", "steps=0"]) == 2
 
 
 class TestExtensionCommand:
     def test_sweep(self, tmp_path):
         code = main(
-            ["extension-check", "--out", str(tmp_path), "domain=interval", "n=32", "modes=3"]
+            ["extension-check", f"out={tmp_path}", "domain=interval", "n=32", "modes=3"]
         )
         assert code == 0
         lines = (tmp_path / "extension_check.csv").read_text().strip().splitlines()
@@ -261,8 +265,7 @@ class TestRearrangeCommand:
                 "rearrange",
                 "--field",
                 str(field),
-                "--out",
-                str(tmp_path),
+                f"out={tmp_path}",
                 "domain=interval",
                 "n=16",
             ]
@@ -288,14 +291,14 @@ class TestRearrangeCommand:
         field = tmp_path / "field.csv"
         field.write_text(body)
         assert main(
-            ["rearrange", "--field", str(field), "--out", str(tmp_path), "domain=interval", "n=3"]
+            ["rearrange", "--field", str(field), f"out={tmp_path}", "domain=interval", "n=3"]
         ) == 2
         assert f"line {line}" in capsys.readouterr().err
 
     def test_missing_field_file_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert main(
-            ["rearrange", "--field", str(missing), "--out", str(tmp_path), "domain=interval", "n=8"]
+            ["rearrange", "--field", str(missing), f"out={tmp_path}", "domain=interval", "n=8"]
         ) == 2
         assert str(missing) in capsys.readouterr().err
 
@@ -303,7 +306,7 @@ class TestRearrangeCommand:
         field = tmp_path / "field.csv"
         field.write_text("1.0\n2.0\n")
         assert main(
-            ["rearrange", "--field", str(field), "--out", str(tmp_path), "domain=interval", "n=16"]
+            ["rearrange", "--field", str(field), f"out={tmp_path}", "domain=interval", "n=16"]
         ) == 2
 
 
@@ -322,49 +325,44 @@ class TestRearrangeCommand:
     ],
 )
 def test_unknown_preset_is_config_error(tmp_path, capsys, command, override):
-    assert main([command, "--out", str(tmp_path), "n=12", override]) == 2
+    assert main([command, f"out={tmp_path}", "n=12", override]) == 2
     assert override.split("=")[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [8, 9])
 def test_unresolved_mode_exit_code(tmp_path, capsys, k):
     # on 8 cells mode 8 vanishes and mode 9 is mode 7 with its sign flipped
-    argv = ["elliptic-compare", "--out", str(tmp_path), "domain=interval", "n=8"]
+    argv = ["elliptic-compare", f"out={tmp_path}", "domain=interval", "n=8"]
     assert main(argv + [f"source=eigenmode:{k}"]) == 2
     assert "source" in capsys.readouterr().err
-
-
-def test_unused_zero_resolution_is_valid(tmp_path):
-    cfg = load_config(None, ["n=0", "nx=8", "ny=8"])
-    assert cfg.resolution() == (8, 8)
-    assert main(["elliptic-compare", "--out", str(tmp_path), "n=0", "nx=8", "ny=8"]) == 0
 
 
 @pytest.mark.parametrize("override", ["n=12001", "ball_shells=12001"])
 def test_ball_over_cap_is_config_error(tmp_path, capsys, override):
     # a config error, raised before a 12001^2 mode matrix could be allocated
-    argv = ["elliptic-compare", "--out", str(tmp_path), "domain=interval", override]
+    argv = ["elliptic-compare", f"out={tmp_path}", "domain=interval", override]
     assert main(argv) == 2
     assert "ball_shells" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", ["nx=5", "ny=5", "lx=3", "ly=3"])
 def test_rectangle_key_on_interval_is_config_error(tmp_path, capsys, override):
-    argv = ["elliptic-compare", "--out", str(tmp_path), "domain=interval", "n=16", override]
+    # unknown keys on every domain: the rectangle spells them n=20,12 length=2,0.7
+    argv = ["elliptic-compare", f"out={tmp_path}", "domain=interval", "n=16", override]
     assert main(argv) == 2
     assert override.split("=")[0] in capsys.readouterr().err
 
 
 def test_more_modes_than_the_grid_has_is_config_error(tmp_path, capsys):
     # 8 cells carry 7 nonzero modes
-    argv = ["extension-check", "--out", str(tmp_path), "domain=interval", "n=8"]
+    argv = ["extension-check", f"out={tmp_path}", "domain=interval", "n=8"]
     assert main(argv + ["modes=7"]) == 0
     assert main(argv + ["modes=8"]) == 2
     assert "modes" in capsys.readouterr().err
 
 
 def test_cap_leaves_commands_without_a_ball(tmp_path):
-    argv = ["extension-check", "--out", str(tmp_path), "domain=interval", "n=12001", "modes=1"]
+    argv = ["extension-check", f"out={tmp_path}", "domain=interval", "n=12001", "modes=1"]
     assert main(argv) == 0
 
 
@@ -412,4 +410,13 @@ def test_selftest_rejects_ignored_arguments(tmp_path, monkeypatch, capsys, args)
     monkeypatch.chdir(tmp_path)
     assert main(["selftest", *args]) == 2
     assert " ".join(args) in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
+
+
+@pytest.mark.parametrize("args", [["--out", "X"], ["--gamma-exponent", "half"]], ids=["out", "gamma"])
+def test_config_commands_take_keys_not_flags(tmp_path, monkeypatch, capsys, args):
+    # out=X and gamma=... are the only spellings
+    monkeypatch.chdir(tmp_path)
+    assert main(["elliptic-compare", *args, "n=8"]) == 2
+    assert args[0] in capsys.readouterr().err
     assert not (tmp_path / "X").exists()

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fracsym
+from fracsym.cli import _parser
 from fracsym.config import ExperimentConfig
 
 MODULES = ["fracsym"] + sorted(f"fracsym.{m.name}" for m in pkgutil.iter_modules(fracsym.__path__))
@@ -50,5 +52,15 @@ def test_readme_documents_every_config_key():
         if row.startswith("| `")
         for key in re.findall(r"`([^`]+)`", row.split("|")[1])
     }
-    keys = {"Q" if f.name == "q" else f.name for f in dataclasses.fields(ExperimentConfig)}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert sorted(keys - documented) == []
+    assert sorted(documented - keys) == []
+
+
+def test_no_flag_repeats_a_config_key():
+    # a config command takes each value as key=value only, never also as a flag
+    subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name, parser in subparsers.choices.items():
+        if name != "selftest":  # selftest has no config
+            assert sorted({action.dest for action in parser._actions} & keys) == [], name

@@ -12,7 +12,6 @@ from fracsym import (
     build_radial_ball,
     build_rectangle,
     dominated_compare,
-    effective_gamma,
     gamma_constant,
     implicit_step,
     median,
@@ -132,21 +131,6 @@ class TestMildSolve:
             mild_solve(spec, 0.5, phi, None, 1.0, 0)
         with pytest.raises(ValueError):
             mild_solve(spec, 0.5, phi, None, 0.0, 4)
-
-
-class TestEffectiveGamma:
-    def test_sigma_reading_passthrough(self):
-        assert effective_gamma(0.3, 0.5, "sigma") == 0.3
-
-    def test_half_reading_lands_on_sqrt(self):
-        gamma, sigma = 0.3, 0.4
-        eff = effective_gamma(gamma, sigma, "half")
-        # after the sigma power the multiplier is gamma^(1/2)
-        assert eff**sigma == pytest.approx(math.sqrt(gamma), rel=1e-13)
-
-    def test_rejects_unknown_exponent(self):
-        with pytest.raises(ValueError):
-            effective_gamma(1.0, 0.5, "third")
 
 
 class TestSymmetrizedProblem:
@@ -287,17 +271,3 @@ class TestParabolicCompare:
         sl2 = rep.slices[0]
         assert np.max(np.abs(sl.U - np.interp(sl.s, sl2.s, sl2.U))) < 1e-10
         assert np.max(np.abs(sl.V - np.interp(sl.s, sl2.s, sl2.V))) < 1e-10
-
-    def test_gamma_exponent_switch_changes_ball_solution(self):
-        grid = build_rectangle(12, 12, 1.0, 1.0, "neumann")
-        omega = build_operator(grid)
-        gamma = gamma_constant(2, SQUARE_Q)
-        sigma = 0.3
-        u0 = eigenmode_source(grid, 1)
-        outs = []
-        for exponent in ("sigma", "half"):
-            eff = effective_gamma(gamma, sigma, exponent)
-            bspec = build_operator(build_radial_ball(12, 2, 0.5), eff)
-            reports = parabolic_compare(omega, bspec, sigma, u0, None, 0.5, 2)
-            outs.append(reports[-1].slices[0].V[-1])
-        assert outs[0] != pytest.approx(outs[1], rel=1e-6)

@@ -265,6 +265,16 @@ def test_add_curves_exact():
     np.testing.assert_allclose(total.eval(s), cf.eval(s) + cg.eval(s), atol=1e-15)
 
 
+def test_union_breakpoints_is_scale_free():
+    # the twin threshold is relative: a domain of measure 1e-13 keeps every point
+    rng = np.random.default_rng(3)
+    a, b = np.sort(rng.random(40)), np.sort(rng.random(30))
+    a[0] = b[0] = 0.0
+    kept = rearrange.union_breakpoints(a, b)
+    assert kept.size == 70 - 1
+    assert rearrange.union_breakpoints(a * 1e-13, b * 1e-13).size == kept.size
+
+
 # ------------------------------------------------------------ sort oracle
 def _lexsort_desc(field, signed=False):
     """The permutation route: values sorted descending with ties broken by
