@@ -242,15 +242,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        # key=value overrides after a flag come back as leftovers, in order
+        args, rest = parser.parse_known_args(argv)
+        if rest and (args.command == "selftest" or any("=" not in t or t[0] == "-" for t in rest)):
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:  # argparse: usage error (2) or --help (0)
         return exc.code
     if args.command == "selftest":
         return _cmd_selftest(args.seed)
 
     try:
-        cfg = load_config(args.config, args.overrides)
+        cfg = load_config(args.config, args.overrides + rest)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

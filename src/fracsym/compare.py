@@ -72,8 +72,8 @@ def gamma_constant(dim: int, q: float) -> float:
 
 def _check_inputs(omega_grid: Grid, ball_grid: Grid, data: dict):
     """Entry check of every comparison: Omega is a box (the U curve relies
-    on its equal cells), |B| = |Omega|/2, and each labelled field (or
-    sequence of fields) in data is finite; None entries pass."""
+    on its equal cells), |B| = |Omega|/2, and each labelled field in data
+    is finite; None entries pass."""
     if omega_grid.kind == "radial_ball":
         raise ValueError("Omega must be an interval or a rectangle, got a radial ball")
     half = omega_grid.total_measure / 2.0
@@ -82,10 +82,9 @@ def _check_inputs(omega_grid: Grid, ball_grid: Grid, data: dict):
             f"ball measure {ball_grid.total_measure:.12g} must equal "
             f"|Omega|/2 = {half:.12g}"
         )
-    for label, fields in data.items():
-        for fld in fields if isinstance(fields, (list, tuple)) else [fields]:
-            if fld is not None and not np.all(np.isfinite(fld.values)):
-                raise NonFiniteData(f"{label} holds non-finite values")
+    for label, fld in data.items():
+        if fld is not None and not np.all(np.isfinite(fld.values)):
+            raise NonFiniteData(f"{label} holds non-finite values")
 
 
 def _overflow_checked(fn):

@@ -2,10 +2,11 @@
 and the step-by-step concentration comparison against the symmetrized
 Cauchy-Dirichlet problem on the half-measure ball.
 
-Each implicit step solves (1 + h * A) u_k = u_{k-1} + h f_k spectrally, so
-a trajectory is a sequence of resolvent applications; the mild solution is
-the h -> 0 limit of the piecewise-constant interpolants.  A time-dependent
-forcing is sampled once per step, at the step midpoint.
+Each implicit step solves (1 + h * A) u_k = u_{k-1} + h f, so a trajectory
+is a sequence of resolvent applications; the mild solution is the h -> 0
+limit of the piecewise-constant interpolants.  Both operators are diagonal
+in their modes, so a trajectory is marched in mode coefficients and each
+state is synthesized once.  The forcing is one time-constant field.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField
 from .spectral import SpectralOperator, apply_fractional
+from .extension import _check_open_sigma
 from .compare import (
     DEFAULT_TOL_CONSTANT,
     _check_inputs,
@@ -44,25 +46,25 @@ class Trajectory:
     h: float
     times: np.ndarray
     states: tuple
-    sources: tuple  # per-step samples f_k^{(h)}, k = 1..n
+    forcing: ScalarField  # the time-constant f, or None
 
     def __post_init__(self):
         self.times.setflags(write=False)
 
     @property
     def n_steps(self) -> int:
-        return len(self.sources)
+        return len(self.states) - 1
 
     def state(self, k: int) -> ScalarField:
         return self.states[k]
 
     def step_residual(self, k: int) -> float:
-        """||h A u_k + u_k - u_{k-1} - h f_k||_2 for step k >= 1."""
+        """||h A u_k + u_k - u_{k-1} - h f||_2 for step k >= 1."""
         if not 1 <= k <= self.n_steps:
             raise IndexError(f"step index {k} out of range 1..{self.n_steps}")
         au = apply_fractional(self.spec, self.sigma, self.states[k])
-        r = self.h * au + self.states[k] - self.states[k - 1] - self.h * self.sources[k - 1]
-        return r.norm(2)
+        r = self.h * au + self.states[k] - self.states[k - 1]
+        return (r if self.forcing is None else r - self.h * self.forcing).norm(2)
 
 
 def implicit_step(
@@ -79,44 +81,31 @@ def implicit_step(
 def mild_solve(
     spec: SpectralOperator, sigma: float, u0: ScalarField, forcing, T: float, n: int
 ) -> Trajectory:
-    """March n implicit steps to time T.
-
-    forcing may be None, a time-constant ScalarField, or a callable
-    t -> ScalarField, sampled at the midpoint of each step.
+    """March n implicit steps to time T in mode coefficients:
+    c_k = (c_{k-1} + h <f, phi>) / (1 + h lambda^sigma), from one forward
+    transform of u0 and of the forcing (None or a time-constant
+    ScalarField) and one synthesis per state.
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     h = T / n
-    times = np.linspace(0.0, T, n + 1)
-    if forcing is None:
-        forcing = ScalarField(spec.grid, np.zeros(spec.grid.n_cells))
+    denom = 1.0 + h * spec.eigenvalues**sigma
+    coeffs = spec.coefficients(u0)
+    push = 0.0 if forcing is None else h * spec.coefficients(forcing)
     states = [u0]
-    sources = []
-    for k in range(1, n + 1):
-        mid = 0.5 * (times[k - 1] + times[k])
-        f_k = forcing if isinstance(forcing, ScalarField) else forcing(mid)
-        sources.append(f_k)
-        states.append(implicit_step(spec, sigma, h, states[-1], f_k))
-    return Trajectory(
-        spec=spec, sigma=sigma, h=h, times=times, states=tuple(states), sources=tuple(sources)
-    )
+    for _ in range(n):
+        coeffs = (coeffs + push) / denom
+        states.append(spec.synthesize(coeffs))
+    return Trajectory(spec, sigma, h, np.linspace(0.0, T, n + 1), tuple(states), forcing)
 
 
-def symmetrized_parabolic_problem(u0: ScalarField, f_samples, ball_grid: Grid):
-    """Initial value and per-step sources of the ball problem.
-
-    v0 is the rearranged median split of u0; each source sample maps to
-    (f_k+)# + (f_k-)#, computed once per distinct sample object (a
-    time-constant forcing is one object repeated at every step).
-    """
+def symmetrized_parabolic_problem(u0: ScalarField, forcing, ball_grid: Grid):
+    """Initial value and forcing of the ball problem: v0 is the rearranged
+    median split of u0, and g = (f+)# + (f-)#, None without forcing."""
     v0 = symmetrized_data(u0, ball_grid, "with_c")
-    radial = {}
-    for f_k in f_samples:
-        if id(f_k) not in radial:
-            radial[id(f_k)] = symmetrized_data(f_k, ball_grid, "zero_mean")
-    return v0, [radial[id(f_k)] for f_k in f_samples]
+    return v0, None if forcing is None else symmetrized_data(forcing, ball_grid, "zero_mean")
 
 
 @_overflow_checked
@@ -133,35 +122,30 @@ def parabolic_compare(
 ):
     """Step both problems with matched h and compare at every t_k.
 
-    Returns one ComparisonReport per step, holding the trace-level (y = 0)
+    forcing is None or a time-constant ScalarField.  Returns one
+    ComparisonReport per step, holding the trace-level (y = 0)
     concentration slice of the two states.
     """
-    fixed_forcing = forcing if isinstance(forcing, ScalarField) else None
-    _check_inputs(
-        omega_spec.grid, ball_spec.grid, {"initial value u0": u0, "forcing": fixed_forcing}
-    )
+    _check_open_sigma(sigma)
+    if forcing is not None and not isinstance(forcing, ScalarField):
+        raise TypeError(f"forcing must be a ScalarField or None, got {type(forcing).__name__}")
+    _check_inputs(omega_spec.grid, ball_spec.grid, {"initial value u0": u0, "forcing": forcing})
     omega_traj = mild_solve(omega_spec, sigma, u0, forcing, T, n)
-    _check_inputs(omega_spec.grid, ball_spec.grid, {"forcing": omega_traj.sources})
-    v0, g_samples = symmetrized_parabolic_problem(
-        u0, omega_traj.sources, ball_spec.grid
+    ball_traj = mild_solve(
+        ball_spec, sigma, *symmetrized_parabolic_problem(u0, forcing, ball_spec.grid), T, n
     )
-    h = T / n
-    states_v = [v0]
-    for g_k in g_samples:
-        states_v.append(implicit_step(ball_spec, sigma, h, states_v[-1], g_k))
     if tol is None:
-        f_scale = max((f.norm(2) for f in omega_traj.sources), default=0.0)
-        scale = u0.norm(2) + T * f_scale
+        scale = u0.norm(2) + T * (0.0 if forcing is None else forcing.norm(2))
         tol = tol_constant * omega_spec.grid.cell_width * scale
+    slices = _slices([0.0] * n, omega_traj.states[1:], ball_traj.states[1:], _split_curve)
     reports = []
-    for k in range(1, n + 1):
-        slices = _slices([0.0], [omega_traj.state(k)], [states_v[k]], _split_curve)
+    for k, sl in enumerate(slices, 1):
         params = {
             "step": k,
             "t": float(omega_traj.times[k]),
             "sigma": float(sigma),
-            "h": float(h),
+            "h": float(omega_traj.h),
             "gamma": float(ball_spec.gamma),
         }
-        reports.append(_report(slices, tol, params))
+        reports.append(_report([sl], tol, params))
     return reports

@@ -356,7 +356,7 @@ def test_criterion_6_parabolic():
     g1 = schwarz_rearrangement(
         f.positive_part(), ball.grid, allow_truncation=True
     ) + schwarz_rearrangement(f.negative_part(), ball.grid, allow_truncation=True)
-    v0, _ = symmetrized_parabolic_problem(u0, [], ball.grid)
+    v0, _ = symmetrized_parabolic_problem(u0, None, ball.grid)
     rep = dominated_compare(
         omega, ball, 0.5, 1.0 / T, f, g1, [0.0], extra=u0 * (1.0 / T), g2=v0 * (1.0 / T)
     )

@@ -420,3 +420,22 @@ def test_config_commands_take_keys_not_flags(tmp_path, monkeypatch, capsys, args
     assert main(["elliptic-compare", *args, "n=8"]) == 2
     assert args[0] in capsys.readouterr().err
     assert not (tmp_path / "X").exists()
+
+
+def test_overrides_keep_their_order_around_flags(tmp_path, capsys):
+    field = tmp_path / "field.csv"
+    field.write_text("value\n3.0\n1.0\n2.0\n")
+    out = tmp_path / "r"
+    assert main(["rearrange", "domain=interval", "--field", str(field), "n=3", f"out={out}"]) == 0
+    assert len((out / "profile.csv").read_text().splitlines()) == 4
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("sigma = 0.3\nn = 16\n")
+    out = tmp_path / "e"
+    args = ["n=8", "sigma=0.2", "--config", str(cfg), "sigma=0.4", "domain=interval", f"out={out}"]
+    assert main(["elliptic-compare", *args]) == 0
+    config = json.loads((out / "elliptic_report.json").read_text())["config"]
+    assert (config["n"], config["sigma"], config["domain"]) == ([8], 0.4, "interval")
+    # a leftover that is not key=value is still refused
+    capsys.readouterr()
+    assert main(["rearrange", "domain=interval", "--field", str(field), "n=3", "stray"]) == 2
+    assert "unrecognized arguments: n=3 stray" in capsys.readouterr().err

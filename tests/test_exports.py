@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ import fracsym
 from fracsym.cli import _parser
 from fracsym.config import ExperimentConfig
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["fracsym"] + sorted(f"fracsym.{m.name}" for m in pkgutil.iter_modules(fracsym.__path__))
 
 
@@ -44,7 +46,7 @@ def test_library_writes_no_files(name):
 
 
 def test_readme_documents_every_config_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     table = readme.split("| key | default | meaning |")[1].split("\n\n")[0]
     documented = {
         key
@@ -64,3 +66,18 @@ def test_no_flag_repeats_a_config_key():
     for name, parser in subparsers.choices.items():
         if name != "selftest":  # selftest has no config
             assert sorted({action.dest for action in parser._actions} & keys) == [], name
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps these names; deleting one breaks --trace 1
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _ in tracing.TARGETS:
+        owner = getattr(fracsym, module, None)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

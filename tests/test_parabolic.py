@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fracsym import (
     NonFiniteData,
     ScalarField,
+    SpectralOperator,
     build_interval,
     build_operator,
     build_radial_ball,
@@ -23,6 +25,11 @@ from fracsym import (
 from fracsym.sources import eigenmode_source, random_band_source
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)
+GRIDS = {
+    "interval": lambda: build_interval(40, 1.0, "neumann"),
+    "rectangle": lambda: build_rectangle(12, 9, 1.0, 0.7, "neumann"),
+    "ball": lambda: build_radial_ball(30, 2, 0.35),
+}
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +123,21 @@ class TestMildSolve:
         means = [s.mean() for s in traj.states]
         assert max(abs(m - means[0]) for m in means) < 1e-10
 
-    def test_time_dependent_forcing_sampling(self, spec):
-        phi = mode_field(spec, 1)
-        forcing = lambda t: phi * math.cos(t)
-        traj = mild_solve(spec, 0.5, phi, forcing, 1.0, 4)
-        for k in range(1, 5):
-            # step k samples at its midpoint t_{k-1/2} = (k - 1/2) h, h = 1/4
-            expected = forcing((k - 0.5) / 4)
-            assert np.array_equal(traj.sources[k - 1].values, expected.values)
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("domain", sorted(GRIDS))
+    def test_matches_iterated_implicit_step(self, domain, forced):
+        # oracle: the state-space step, one forward and one inverse transform each
+        grid = GRIDS[domain]()
+        op = build_operator(grid, 0.3)
+        rng = np.random.default_rng(5)
+        u0 = ScalarField(grid, rng.standard_normal(grid.n_cells))
+        f = ScalarField(grid, rng.standard_normal(grid.n_cells)) if forced else None
+        sigma, T, n = 0.6, 0.8, 12
+        traj = mild_solve(op, sigma, u0, f, T, n)
+        state = u0
+        for k in range(1, n + 1):
+            state = implicit_step(op, sigma, T / n, state, f)
+            assert (traj.state(k) - state).norm(2) <= 1e-12 * state.norm(2)
 
     def test_rejects_bad_arguments(self, spec):
         phi = mode_field(spec, 1)
@@ -137,9 +151,9 @@ class TestSymmetrizedProblem:
     def test_zero_data(self, spec):
         ball = build_radial_ball(32, 1, 0.5)
         zero = ScalarField(spec.grid, np.zeros(spec.grid.n_cells))
-        v0, gs = symmetrized_parabolic_problem(zero, [zero, zero], ball)
-        assert v0.norm("inf") == 0.0
-        assert all(g.norm("inf") == 0.0 for g in gs)
+        v0, g = symmetrized_parabolic_problem(zero, zero, ball)
+        assert v0.norm("inf") == 0.0 and g.norm("inf") == 0.0
+        assert symmetrized_parabolic_problem(zero, None, ball)[1] is None
 
     def test_initial_value_composition(self, spec):
         # oracle: compose the already-tested operations by hand
@@ -147,38 +161,12 @@ class TestSymmetrizedProblem:
 
         ball = build_radial_ball(32, 1, 0.5)
         u0 = mode_field(spec, 1)
-        v0, _ = symmetrized_parabolic_problem(u0, [], ball)
+        v0, _ = symmetrized_parabolic_problem(u0, None, ball)
         u1, u2 = median_split(u0)
         expected = schwarz_rearrangement(u1, ball, allow_truncation=True) + schwarz_rearrangement(
             u2, ball, allow_truncation=True
         )
         np.testing.assert_allclose(v0.values, expected.values)
-
-    def test_time_constant_forcing_repeats(self, spec):
-        ball = build_radial_ball(32, 1, 0.5)
-        f = mode_field(spec, 2)
-        _, gs = symmetrized_parabolic_problem(mode_field(spec, 1), [f, f, f], ball)
-        for g in gs[1:]:
-            np.testing.assert_allclose(g.values, gs[0].values)
-
-    def test_each_distinct_sample_rearranged_once(self, spec, monkeypatch):
-        import fracsym.parabolic
-
-        ball = build_radial_ball(32, 1, 0.5)
-        f, g = mode_field(spec, 2), mode_field(spec, 3)
-        real = fracsym.parabolic.symmetrized_data
-        seen = []
-
-        def counted(field, *args):
-            seen.append(field)
-            return real(field, *args)
-
-        monkeypatch.setattr(fracsym.parabolic, "symmetrized_data", counted)
-        _, gs = symmetrized_parabolic_problem(mode_field(spec, 1), [f, g, f, g], ball)
-        assert len(seen) == 3  # u0, f and g
-        for sample, datum in zip([f, g, f, g], gs):
-            expected = real(sample, ball, "zero_mean")
-            np.testing.assert_array_equal(datum.values, expected.values)
 
 
 class TestParabolicCompare:
@@ -216,6 +204,30 @@ class TestParabolicCompare:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteData, match="not finite"):
                 parabolic_compare(spec, bspec, 0.5, mode_field(spec, 1), huge, 1e308, 2)
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, 1.0, 1.5, 3.0])
+    def test_rejects_sigma_outside_open_interval(self, spec, sigma):
+        bspec = build_operator(build_radial_ball(64, 1, 0.5), gamma_constant(1, 1.0))
+        with pytest.raises(ValueError, match="sigma"):
+            parabolic_compare(spec, bspec, sigma, mode_field(spec, 1), None, 1.0, 2)
+
+    def test_rejects_callable_forcing(self, spec):
+        bspec = build_operator(build_radial_ball(64, 1, 0.5), gamma_constant(1, 1.0))
+        phi = mode_field(spec, 2)
+        with pytest.raises(TypeError, match="forcing"):
+            parabolic_compare(spec, bspec, 0.5, mode_field(spec, 1), lambda t: phi, 1.0, 2)
+
+    def test_transform_count_does_not_grow_with_steps(self, spec):
+        # one forward transform of u0 and of the forcing on each side
+        bspec = build_operator(build_radial_ball(64, 1, 0.5), gamma_constant(1, 1.0))
+        real = SpectralOperator.coefficients
+        for forcing, expected in ((None, 2), (mode_field(spec, 2), 4)):
+            for n in (1, 4, 16):
+                with mock.patch.object(
+                    SpectralOperator, "coefficients", autospec=True, side_effect=real
+                ) as counted:
+                    parabolic_compare(spec, bspec, 0.5, mode_field(spec, 1), forcing, 1.0, n)
+                assert counted.call_count == expected, (forcing is None, n)
 
     def test_rejects_wrong_ball_measure(self, spec):
         bspec = build_operator(build_radial_ball(64, 1, 0.4), gamma_constant(1, 1.0))
@@ -256,7 +268,7 @@ class TestParabolicCompare:
         g1 = schwarz_rearrangement(
             f.positive_part(), bspec.grid, allow_truncation=True
         ) + schwarz_rearrangement(f.negative_part(), bspec.grid, allow_truncation=True)
-        v0, _ = symmetrized_parabolic_problem(u0, [], bspec.grid)
+        v0, _ = symmetrized_parabolic_problem(u0, None, bspec.grid)
         rep = dominated_compare(
             omega,
             bspec,
