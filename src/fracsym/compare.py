@@ -108,7 +108,7 @@ def _source_parts(f: ScalarField, mode: str):
 
 def _radial_datum(parts, ball_grid: Grid) -> ScalarField:
     """Sum of the Schwarz rearrangements of parts, each cut at |B|."""
-    first, *rest = (schwarz_rearrangement(p, ball_grid, allow_truncation=True) for p in parts)
+    first, *rest = (schwarz_rearrangement(p, ball_grid) for p in parts)
     return sum(rest, first)
 
 
@@ -198,12 +198,11 @@ def _split_curve(w_layer: ScalarField) -> ConcentrationCurve:
     there: the bytes add_curves gives for the two curves of median_split.
     """
     desc, meas = _sorted_desc(w_layer, signed=True)
-    shifted = desc - _sorted_median(desc, meas, w_layer.grid.total_measure)
+    cum = np.cumsum(meas)
+    shifted = desc - _sorted_median(desc, cum, w_layer.grid.total_measure)
     pos, neg = np.maximum(shifted, 0.0), np.maximum(-shifted[::-1], 0.0)
     F = np.cumsum(pos * meas) + np.cumsum(neg * meas)
-    return ConcentrationCurve(
-        s=np.concatenate([[0.0], np.cumsum(meas)]), F=np.concatenate([[0.0], F])
-    )
+    return ConcentrationCurve(s=np.concatenate([[0.0], cum]), F=np.concatenate([[0.0], F]))
 
 
 def _slices(ys, w_layers, xi_layers, u_curve) -> list:

@@ -8,7 +8,9 @@ import types
 import typing
 from dataclasses import dataclass, fields
 
-from .compare import DEFAULT_TOL_CONSTANT
+import numpy as np
+
+from .compare import DEFAULT_TOL_CONSTANT, gamma_constant
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides"]
 
@@ -105,6 +107,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"y_sweep: needs at least two positive, strictly decreasing heights, got {ys}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        with np.errstate(all="ignore"):  # the derived scales: overflow reads inf, underflow 0
+            sides = np.array(self.sides())
+            widths = sides / self.resolution()
+            gamma = self.gamma or gamma_constant(sides.size, np.float64(self.q_value()))
+            derived = {"length": (np.prod(sides), np.prod(widths), *widths**-2.0), "Q": (gamma,)}
+        for key, scales in derived.items():
+            if not all(0.0 < x < math.inf for x in scales):
+                raise ConfigError(f"{key}: {getattr(self, key)} makes |Omega|, the cell measure, "
+                                  f"1/h^2 or the derived gamma zero or not finite")
         return self
 
     # resolved accessors -------------------------------------------------

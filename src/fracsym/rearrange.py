@@ -60,11 +60,6 @@ class RearrangedProfile:
         out = padded[np.minimum(idx, self.values.size)]
         return out if np.ndim(s) else float(out[0])
 
-    def support_measure(self) -> float:
-        """Measure of {f* > 0}."""
-        nz = np.nonzero(self.values > 0.0)[0]
-        return float(self.breaks[nz[-1]]) if nz.size else 0.0
-
 
 @dataclass(frozen=True)
 class ConcentrationCurve:
@@ -138,50 +133,34 @@ def decreasing_rearrangement(field: ScalarField) -> RearrangedProfile:
     )
 
 
-def schwarz_rearrangement(
-    field: ScalarField, ball_grid: Grid, allow_truncation: bool = False
-) -> ScalarField:
+def schwarz_rearrangement(field: ScalarField, ball_grid: Grid) -> ScalarField:
     """Radially non-increasing field on the ball, value f*(omega_N r^N) at
-    each shell midpoint radius r.
-
-    By default the field's support must fit in the ball (up to one cell of
-    slack); with allow_truncation the profile is cut at the ball measure,
-    keeping the most concentrated part (the portion the radial model
-    problems actually see).
-    """
+    each shell midpoint radius r: f* is cut at |B|, so the ball keeps the
+    most concentrated part of the field, the part the radial problems see."""
     if ball_grid.kind != "radial_ball":
         raise ValueError("schwarz_rearrangement needs a radial_ball target grid")
-    prof = decreasing_rearrangement(field)
-    slack = field.grid.max_cell_measure
-    if not allow_truncation and prof.support_measure() > ball_grid.total_measure + slack:
-        raise ValueError(
-            f"support measure {prof.support_measure():.6g} exceeds ball measure "
-            f"{ball_grid.total_measure:.6g} by more than one cell"
-        )
     omega = unit_ball_measure(ball_grid.dimension)
     s_mid = omega * ball_grid.centroids[:, 0] ** ball_grid.dimension
-    return ScalarField(ball_grid, prof.value_at(s_mid))
+    return ScalarField(ball_grid, decreasing_rearrangement(field).value_at(s_mid))
 
 
 def median(field: ScalarField) -> float:
     """Weighted median per the infimum definition:
     inf{k : measure{u > k} <= |Omega|/2}, exact over the value set."""
     vals, meas = _sorted_desc(field, signed=True)
-    return _sorted_median(vals, meas, field.grid.total_measure)
+    return _sorted_median(vals, np.cumsum(meas), field.grid.total_measure)
 
 
-def _sorted_median(vals: np.ndarray, meas: np.ndarray, total: float) -> float:
-    """median() of the values vals, sorted descending, on cells of measures
-    meas and total measure total."""
+def _sorted_median(vals: np.ndarray, cum: np.ndarray, total: float) -> float:
+    """median() of the values vals, sorted descending, with running measure
+    cum = np.cumsum(measures) on a domain of measure total.  Cell j is the
+    last with at most half the measure above it, and every later tie group
+    has more than half above it, so the median is the value of j's group,
+    read at the group's first cell (that fixes the sign of a 0.0/-0.0 tie)."""
     # cumsum round-off must not flip an exact half/half tie
-    half = total / 2.0 + 1e-12 * total
-    change = np.nonzero(np.diff(vals))[0]
-    group_start = np.concatenate([[0], change + 1])
-    cum = np.concatenate([[0.0], np.cumsum(meas)])
-    # measure strictly above a group = cumulative measure of prior groups
-    above = cum[group_start]
-    ok = above <= half
-    return float(vals[group_start[ok][-1]])
+    j = np.searchsorted(cum, total / 2.0 + 1e-12 * total, side="right")
+    first = vals.size - np.searchsorted(vals[::-1], vals[j], side="right")  # values above vals[j]
+    return float(vals[first])
 
 
 def median_split(field: ScalarField):

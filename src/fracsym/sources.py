@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -61,20 +62,20 @@ def _mode_table(grid: Grid, count: int) -> np.ndarray:
     return table
 
 
-def _mode_values(grid: Grid, table: np.ndarray) -> list:
-    """Cell values of each mode in `table`: the product over the axes of
-    sqrt((2 if k else 1) / L) cos(k pi x / L), evaluated on the axis's cell
-    centres and multiplied out by an outer product."""
-    centres = [np.unique(grid.centroids[:, a]) for a in range(grid.dimension)]
-    modes = []
+def _mode_values(grid: Grid, table: np.ndarray) -> Iterator[np.ndarray]:
+    """Cell values of each mode in `table`, one mode at a time: the product
+    over the axes of sqrt((2 if k else 1) / L) cos(k pi x / L), evaluated on
+    the axis's cell centres and multiplied out by an outer product."""
+    # centroids are x-major: axis a's centres are every prod(shape[a+1:])-th row
+    centres = [grid.centroids[:: math.prod(grid.shape[a + 1 :]), a][:n]
+               for a, n in enumerate(grid.shape)]
     for index in table:
         factors = [np.cos(k * math.pi * x / length)
                    for k, x, length in zip(index, centres, grid.lengths)]
         scale = math.prod(math.sqrt((2.0 if k else 1.0) / length)
                           for k, length in zip(index, grid.lengths))
         factors[0] = scale * factors[0]
-        modes.append(functools.reduce(np.multiply.outer, factors).ravel())
-    return modes
+        yield functools.reduce(np.multiply.outer, factors).ravel()
 
 
 def constant_source(grid: Grid, value: float = 1.0) -> ScalarField:
@@ -83,7 +84,7 @@ def constant_source(grid: Grid, value: float = 1.0) -> ScalarField:
 
 def eigenmode_source(grid: Grid, k: int = 1) -> ScalarField:
     """k-th nonzero Neumann cosine mode (unit continuum L2 norm)."""
-    return ScalarField(grid, _mode_values(grid, _mode_table(grid, k)[-1:])[0])
+    return ScalarField(grid, next(_mode_values(grid, _mode_table(grid, k)[-1:])))
 
 
 def two_bump_source(grid: Grid) -> ScalarField:

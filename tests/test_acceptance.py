@@ -353,9 +353,9 @@ def test_criterion_6_parabolic():
     T = 0.25
     reports = parabolic_compare(omega, ball, 0.5, u0, f, T, 1)
     sl = reports[0].slices[0]
-    g1 = schwarz_rearrangement(
-        f.positive_part(), ball.grid, allow_truncation=True
-    ) + schwarz_rearrangement(f.negative_part(), ball.grid, allow_truncation=True)
+    g1 = schwarz_rearrangement(f.positive_part(), ball.grid) + schwarz_rearrangement(
+        f.negative_part(), ball.grid
+    )
     v0, _ = symmetrized_parabolic_problem(u0, None, ball.grid)
     rep = dominated_compare(
         omega, ball, 0.5, 1.0 / T, f, g1, [0.0], extra=u0 * (1.0 / T), g2=v0 * (1.0 / T)

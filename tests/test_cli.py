@@ -65,6 +65,14 @@ class TestConfig:
             "nx=8",
             "q=0.5",
             "gamma_exponent=half",
+            "n=16 length=1e200",
+            "n=16 length=1e160",
+            "n=16 length=1e-200",
+            "domain=interval n=16 length=1e-200",
+            "Q=1e-200",
+            "Q=1e200",
+            "seed=-1",
+            "source=random seed=-1",
         ],
     )
     def test_rejections_name_field(self, override):
@@ -246,6 +254,11 @@ class TestParabolicCommand:
 
 
 class TestExtensionCommand:
+    def test_vanishing_length_is_config_error(self, tmp_path, capsys):
+        # |Omega| underflows to 0: exit 2 naming length, not an inf/nan sweep
+        assert main(["extension-check", f"out={tmp_path}", "n=16", "length=1e-200"]) == 2
+        assert "length" in capsys.readouterr().err
+
     def test_sweep(self, tmp_path):
         code = main(
             ["extension-check", f"out={tmp_path}", "domain=interval", "n=32", "modes=3"]

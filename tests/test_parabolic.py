@@ -163,9 +163,7 @@ class TestSymmetrizedProblem:
         u0 = mode_field(spec, 1)
         v0, _ = symmetrized_parabolic_problem(u0, None, ball)
         u1, u2 = median_split(u0)
-        expected = schwarz_rearrangement(u1, ball, allow_truncation=True) + schwarz_rearrangement(
-            u2, ball, allow_truncation=True
-        )
+        expected = schwarz_rearrangement(u1, ball) + schwarz_rearrangement(u2, ball)
         np.testing.assert_allclose(v0.values, expected.values)
 
 
@@ -265,9 +263,9 @@ class TestParabolicCompare:
         sl = reports[0].slices[0]
 
         h = T
-        g1 = schwarz_rearrangement(
-            f.positive_part(), bspec.grid, allow_truncation=True
-        ) + schwarz_rearrangement(f.negative_part(), bspec.grid, allow_truncation=True)
+        g1 = schwarz_rearrangement(f.positive_part(), bspec.grid) + schwarz_rearrangement(
+            f.negative_part(), bspec.grid
+        )
         v0, _ = symmetrized_parabolic_problem(u0, None, bspec.grid)
         rep = dominated_compare(
             omega,
