@@ -92,7 +92,7 @@ def _preset(grid: Grid, cfg: ExperimentConfig, key: str, seed: int, project: boo
 
 def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
     grid, omega_spec, ball_spec = _build_pair(cfg)
-    f = _preset(grid, cfg, "source", cfg.seed, project=cfg.project_compatible and cfg.c == 0.0)
+    f = _preset(grid, cfg, "source", cfg.seed, project=cfg.c == 0.0)
     report = elliptic_compare(
         omega_spec,
         ball_spec,
@@ -101,7 +101,6 @@ def _cmd_elliptic(cfg: ExperimentConfig, out: Path) -> int:
         f,
         cfg.y_samples,
         tol=cfg.tol,
-        tol_constant=cfg.tol_constant,
         q=cfg.q_value() if cfg.gamma is None else None,  # reported only when it set gamma
         split_mode=cfg.split_mode,
     )
@@ -122,15 +121,7 @@ def _cmd_parabolic(cfg: ExperimentConfig, out: Path) -> int:
         grid, cfg, "forcing", cfg.seed + 1
     )
     reports = parabolic_compare(
-        omega_spec,
-        ball_spec,
-        cfg.sigma,
-        u0,
-        forcing,
-        cfg.T,
-        cfg.steps,
-        tol=cfg.tol,
-        tol_constant=cfg.tol_constant,
+        omega_spec, ball_spec, cfg.sigma, u0, forcing, cfg.T, cfg.steps, tol=cfg.tol
     )
     payload = {
         "config": cfg.to_dict(),

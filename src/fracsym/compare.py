@@ -8,7 +8,8 @@ than its radial counterpart:
     U(s, y) = int_0^s (w1* + w2*)  <=  V(s, y) = int_0^s xi*
 
 for s in [0, |Omega|/2].  Discretization noise is absorbed by a tolerance
-tol = C_tol * h * ||f||_2 (first order in the cell size).
+that an unset `tol` derives as _tolerance: 10 * h * scale, first order in
+the cell size, with scale the L2 norm of the data.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ __all__ = [
     "dominated_compare",
     "oscillation_check",
     "lp_check",
-    "default_tolerance",
 ]
 
-DEFAULT_TOL_CONSTANT = 10.0
 _BALL_MEASURE_TOL = 1e-10
 _PRECONDITION_SLACK = 1e-9
 
@@ -177,9 +176,10 @@ class ComparisonReport:
         }
 
 
-def default_tolerance(omega_grid: Grid, f: ScalarField, tol_constant: float) -> float:
-    """C_tol * h * ||f||_2; first-order-in-h model for rearrangement error."""
-    return tol_constant * omega_grid.cell_width * f.norm(2)
+def _tolerance(omega_grid: Grid, scale: float) -> float:
+    """Default tolerance 10 * h * scale, first order in the cell size h;
+    scale is the L2 norm of the data."""
+    return 10.0 * omega_grid.cell_width * scale
 
 
 def _curve(f: ScalarField) -> ConcentrationCurve:
@@ -270,13 +270,13 @@ def elliptic_compare(
     f: ScalarField,
     y_samples,
     tol: float = None,
-    tol_constant: float = DEFAULT_TOL_CONSTANT,
     q: float = None,
     split_mode: bool = False,
 ) -> ComparisonReport:
     """Run the full elliptic comparison for source f.
 
-    Solves both problems, extends, and checks U <= V + tol at every height.
+    Solves both problems, extends, and checks U <= V + tol at every height;
+    tol None gives 10 h ||f||_2.
     With split_mode on and a y-constant median curve, the positive and
     negative parts are additionally compared against their own radial
     problems and reported separately.
@@ -286,7 +286,7 @@ def elliptic_compare(
     u = solve_elliptic(omega_spec, sigma, c, f)
     v = solve_elliptic(ball_spec, sigma, c, symmetrized_data(f, ball_spec.grid, mode))
     if tol is None:
-        tol = default_tolerance(omega_spec.grid, f, tol_constant)
+        tol = _tolerance(omega_spec.grid, f.norm(2))
     slices, w = _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples)
     params = _params(omega_spec, ball_spec, sigma, c, q, mode)
     split_reports = []
@@ -326,7 +326,7 @@ def dominated_compare(
     an optional additive term `extra` on Omega requires its own dominating
     g2 with (extra+)# + (extra-)# < g2.  The Omega problem is solved with
     f (+ extra), the ball problem with g (+ g2).  The tolerance is the
-    default C_tol * h * ||f (+ extra)||_2.
+    default 10 h ||f (+ extra)||_2.
     """
     fields = {"source f": f, "datum g": g, "extra term": extra, "datum g2": g2}
     _check_inputs(omega_spec.grid, ball_spec.grid, fields)
@@ -343,7 +343,7 @@ def dominated_compare(
         source = f + extra
     u = solve_elliptic(omega_spec, sigma, c, source)
     v = solve_elliptic(ball_spec, sigma, c, datum)
-    tol = default_tolerance(omega_spec.grid, source, DEFAULT_TOL_CONSTANT)
+    tol = _tolerance(omega_spec.grid, source.norm(2))
     slices, _ = _compare_extensions(omega_spec, ball_spec, sigma, u, v, y_samples)
     params = {**_params(omega_spec, ball_spec, sigma, c, q, mode), "dominated": True}
     return _report(slices, tol, params)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .compare import DEFAULT_TOL_CONSTANT, gamma_constant
+from .compare import gamma_constant
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides"]
 
@@ -45,10 +45,8 @@ class ExperimentConfig:
     Q: float | None = None  # None = domain default
     gamma: float | None = None  # None = derive from Q
     source: str = "eigenmode:1"
-    project_compatible: bool = True
     y_samples: tuple[float, ...] = (0.0, 0.1, 1.0)
-    tol_constant: float = DEFAULT_TOL_CONSTANT
-    tol: float | None = None  # None = derive from tol_constant
+    tol: float | None = None  # None = 10 h times the data's L2 norm
     # parabolic
     T: float = 1.0
     steps: int = 16
@@ -96,8 +94,6 @@ class ExperimentConfig:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if any(y < 0 for y in self.y_samples):
             raise ConfigError(f"y_samples: must be nonnegative, got {self.y_samples}")
-        if self.tol_constant <= 0:
-            raise ConfigError(f"tol_constant: must be positive, got {self.tol_constant}")
         if self.tol is not None and self.tol < 0:
             raise ConfigError(f"tol: must be >= 0 (unset derives it), got {self.tol}")
         if self.modes < 1:

@@ -19,12 +19,12 @@ from .grid import Grid, ScalarField
 from .spectral import SpectralOperator, apply_fractional
 from .extension import _check_open_sigma
 from .compare import (
-    DEFAULT_TOL_CONSTANT,
     _check_inputs,
     _overflow_checked,
     _report,
     _slices,
     _split_curve,
+    _tolerance,
     symmetrized_data,
 )
 
@@ -118,11 +118,11 @@ def parabolic_compare(
     T: float,
     n: int,
     tol: float = None,
-    tol_constant: float = DEFAULT_TOL_CONSTANT,
 ):
     """Step both problems with matched h and compare at every t_k.
 
-    forcing is None or a time-constant ScalarField.  Returns one
+    forcing is None or a time-constant ScalarField; tol None gives
+    10 h (||u0||_2 + T ||forcing||_2).  Returns one
     ComparisonReport per step, holding the trace-level (y = 0)
     concentration slice of the two states.
     """
@@ -135,8 +135,9 @@ def parabolic_compare(
         ball_spec, sigma, *symmetrized_parabolic_problem(u0, forcing, ball_spec.grid), T, n
     )
     if tol is None:
-        scale = u0.norm(2) + T * (0.0 if forcing is None else forcing.norm(2))
-        tol = tol_constant * omega_spec.grid.cell_width * scale
+        tol = _tolerance(
+            omega_spec.grid, u0.norm(2) + T * (0.0 if forcing is None else forcing.norm(2))
+        )
     slices = _slices([0.0] * n, omega_traj.states[1:], ball_traj.states[1:], _split_curve)
     reports = []
     for k, sl in enumerate(slices, 1):

@@ -12,7 +12,6 @@ parts live in pytest.
 from __future__ import annotations
 
 import json
-import sys
 
 import numpy as np
 
@@ -68,9 +67,9 @@ SUITES = [("equality", _equality), ("negative-control", _negative_control),
           ("determinism", _determinism)]
 
 
-def run_suites(seed: int = 0, stream=None):
-    """Run every suite (each returns (passed, detail)); the failure count."""
-    stream = stream or sys.stdout
+def run_suites(seed: int = 0):
+    """Run every suite (each returns (passed, detail)), print one line per
+    suite; the failure count."""
     failures = 0
     for name, fn in SUITES:
         try:
@@ -78,5 +77,5 @@ def run_suites(seed: int = 0, stream=None):
         except Exception as exc:  # report and keep going
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         failures += not passed
-        stream.write(f"{'PASS' if passed else 'FAIL'}  {name:<18} {detail}\n")
+        print(f"{'PASS' if passed else 'FAIL'}  {name:<18} {detail}")
     return failures

@@ -35,7 +35,6 @@ from fracsym import (
     symmetrized_data,
     symmetrized_parabolic_problem,
 )
-from fracsym.compare import default_tolerance
 from fracsym.sources import eigenmode_source, project_zero_mean, random_band_source
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)

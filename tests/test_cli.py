@@ -46,6 +46,7 @@ class TestConfig:
             "tol=-1",
             "c=nan",
             "tol_constant=nan",
+            "project_compatible=false",
             "y_samples=nan",
             "gamma=inf",
             "n=0",
@@ -146,14 +147,15 @@ class TestEllipticCommand:
         assert "source" in capsys.readouterr().err
 
     def test_overflowing_tolerance_exit_code(self, tmp_path, capsys):
+        # 10 h ||f||_2 = 10 * 2 * 2.4e307 on a side of 24
         code = main(
             [
                 "elliptic-compare",
                 f"out={tmp_path}",
                 "n=12",
-                "source=constant:1e300",
+                "length=24",
+                "source=constant:1e306",
                 "c=1",
-                "tol_constant=1e300",
             ]
         )
         assert code == 3
@@ -174,19 +176,6 @@ class TestEllipticCommand:
         out.write_text("")
         assert main(["elliptic-compare", f"out={out}", "n=12"]) == 2
         assert str(out) in capsys.readouterr().err
-
-    def test_numerical_error_exit_code(self, tmp_path):
-        # constant source with projection off violates compatibility at c = 0
-        code = main(
-            [
-                "elliptic-compare",
-                f"out={tmp_path}",
-                "n=12",
-                "source=constant",
-                "project_compatible=false",
-            ]
-        )
-        assert code == 3
 
     def test_determinism_byte_identical(self, tmp_path):
         blobs = []

@@ -23,7 +23,7 @@ from fracsym import (
     solve_elliptic,
     symmetrized_data,
 )
-from fracsym.compare import default_tolerance
+from fracsym.compare import _tolerance
 from fracsym.sources import eigenmode_source, project_zero_mean, random_band_source
 
 SQUARE_Q = 1.0 / math.sqrt(2.0)
@@ -141,14 +141,14 @@ class TestEllipticCompare:
         with pytest.raises(NonFiniteData, match="source f"):
             elliptic_compare(omega, bspec, 0.5, 0.0, f, [0.0], q=SQUARE_Q)
 
-    def test_overflowing_tolerance_rejected(self, square_pair):
-        # finite source whose norm overflows the derived tolerance
-        grid, omega, bspec = square_pair
-        huge = ScalarField(grid, np.full(grid.n_cells, 1e300))
+    def test_overflowing_tolerance_rejected(self):
+        # finite source whose norm overflows the derived tolerance: on a side
+        # of 48, 10 h ||f||_2 = 10 * 2 * 4.8e307
+        grid = build_rectangle(24, 24, 48.0, 48.0, "neumann")
+        bspec = build_operator(build_radial_ball(24, 2, 48.0**2 / 2), gamma_constant(2, SQUARE_Q))
+        huge = ScalarField(grid, np.full(grid.n_cells, 1e306))
         with pytest.raises(NonFiniteData, match="tolerance"):
-            elliptic_compare(
-                omega, bspec, 0.5, 1.0, huge, [0.0], tol_constant=1e300, q=SQUARE_Q
-            )
+            elliptic_compare(build_operator(grid), bspec, 0.5, 1.0, huge, [0.0], q=SQUARE_Q)
 
     def test_huge_source_gets_a_verdict(self, square_pair):
         grid, omega, bspec = square_pair
@@ -309,7 +309,7 @@ def solved_pair(square_pair):
     f = project_zero_mean(random_band_source(grid, 21))
     u = solve_elliptic(omega, 0.5, 0.0, f)
     v = solve_elliptic(bspec, 0.5, 0.0, symmetrized_data(f, bspec.grid, "zero_mean"))
-    tol = default_tolerance(grid, f, 10.0)
+    tol = _tolerance(grid, f.norm(2))
     return u, v, tol
 
 
