@@ -8,7 +8,8 @@ plotting.  This is the only module that writes files: the library returns
 data.
 
 Exit codes: 0 success/verdict holds, 1 verdict violation or selftest
-failure, 2 configuration or i/o error, 3 numerical failure.
+failure, 2 configuration or i/o error, 3 numerical failure (out of memory
+included).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ _NUMERICAL_ERRORS = (
     NonFiniteData,
     EigendecompositionError,
     np.linalg.LinAlgError,
+    MemoryError,
 )
 
 
@@ -72,7 +74,7 @@ def _build_pair(cfg: ExperimentConfig):
     if cfg.shells() > DENSE_CAP:
         raise ConfigError(
             f"ball_shells: the half ball would have {cfg.shells()} shells, at most "
-            f"{DENSE_CAP} (unset, it matches the largest resolution)"
+            f"{DENSE_CAP} (unset, it is the largest resolution, halved on an even interval)"
         )
     grid = _build_domain(cfg)
     omega_spec = build_operator(grid)

@@ -4,6 +4,7 @@ overrides; no structured-config dependency."""
 from __future__ import annotations
 
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -38,7 +39,7 @@ class ExperimentConfig:
     domain: str = "rectangle"
     n: tuple[int, ...] = (64,)
     length: tuple[float, ...] = (1.0,)
-    ball_shells: int | None = None  # None = largest resolution
+    ball_shells: int | None = None  # None = largest resolution, halved on an even interval
     # problem
     sigma: float = 0.5
     c: float = 0.0
@@ -64,7 +65,7 @@ class ExperimentConfig:
         for f in fields(self):
             val = getattr(self, f.name)
             entries = val if isinstance(val, tuple) else (val,)
-            if isinstance(val, (float, tuple)) and not all(map(math.isfinite, entries)):
+            if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
                 raise ConfigError(f"{f.name}: must be finite, got {val}")
         if self.domain not in _DIMENSION:
             raise ConfigError(f"domain: must be 'interval' or 'rectangle', got {self.domain!r}")
@@ -84,6 +85,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: must be positive (unset derives it), got {val}")
         if min(self.n) < 2:
             raise ConfigError(f"n: resolutions must be >= 2, got {self.n}")
+        if math.prod(self.resolution()) * 8 > sys.maxsize:  # numpy's largest array, in bytes
+            raise ConfigError(f"n: {self.n} makes more cells than an array of doubles can hold")
         if self.ball_shells is not None and self.ball_shells < 2:
             raise ConfigError(f"ball_shells: must be >= 2, got {self.ball_shells}")
         if min(self.length) <= 0:
@@ -132,7 +135,12 @@ class ExperimentConfig:
         return INTERVAL_Q if self.domain == "interval" else SQUARE_Q
 
     def shells(self) -> int:
-        return max(self.resolution()) if self.ball_shells is None else self.ball_shells
+        """ball_shells, or unset, the largest resolution; on an interval of
+        even n >= 4, n/2, so that every shell has one cell's measure."""
+        if self.ball_shells is not None:
+            return self.ball_shells
+        n = max(self.resolution())
+        return n // 2 if self.domain == "interval" and n % 2 == 0 and n >= 4 else n
 
     def to_dict(self) -> dict:
         out = {}

@@ -55,9 +55,11 @@ def _bessel_profile(sigma: float, t, order: float, sign: float, at_zero: float):
     """sign * 2^(1-s)/Gamma(s) * t^s * K_order(t) for t > 0, at_zero at t = 0.
 
     K_order(t) is computed as kve(order, t) * exp(-t), kve being the
-    exponentially scaled K, so the product underflows cleanly to 0.0 for
-    large t.  t = 0 never reaches kve, where t^s * K(t)
-    would be 0 * inf; a NaN does, and stays NaN.
+    exponentially scaled K.  exp(-t) is 0.0 from t = 746 on, so t^s and kve
+    are evaluated at min(t, 746): kve itself turns NaN near t = 2^30, and
+    the product is then an exact (signed) 0.0 for every large t.  t = 0
+    never reaches kve, where t^s * K(t) would be 0 * inf; a NaN does, and
+    stays NaN.
     """
     _check_open_sigma(sigma)
     t_arr = np.asarray(t, dtype=float)
@@ -67,7 +69,8 @@ def _bessel_profile(sigma: float, t, order: float, sign: float, at_zero: float):
     pos = t_arr != 0.0
     tp = t_arr[pos]
     scale = sign * 2.0 ** (1.0 - sigma) / math.gamma(sigma)
-    out[pos] = scale * tp**sigma * kve(order, tp) * np.exp(-tp)
+    tc = np.minimum(tp, 746.0)
+    out[pos] = scale * tc**sigma * kve(order, tc) * np.exp(-tp)
     return out if out.ndim else float(out)
 
 

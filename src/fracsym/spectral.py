@@ -147,7 +147,12 @@ def _ball_operator(grid: Grid, gamma: float) -> SpectralOperator:
     shell beyond r = R) is K / measure with K symmetric tridiagonal, so
     scaling by sqrt(measure) leaves one symmetric tridiagonal eigenproblem.
     Modes are psi / sqrt(measure), positive in shell 0.  Raises
-    EigendecompositionError when any eigenpair residual exceeds 1e-8."""
+    EigendecompositionError when any eigenpair residual exceeds
+    1e-8 * max(1, lambda_max).
+
+    Neighbouring measures are multiplied after an exact power-of-two scaling
+    to at most 1, and the residual is divided by max(1, lambda_max) before
+    squaring, so neither overflows nor underflows at an extreme radius."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n = grid.n_cells
@@ -160,7 +165,9 @@ def _ball_operator(grid: Grid, gamma: float) -> SpectralOperator:
     # gamma * face area / shell width; the last face is the wall, at half a shell
     flux = gamma * dim * unit_ball_measure(dim) * faces ** (dim - 1) / (radius / n)
     diag = (np.append(0.0, flux[:-1]) + np.append(flux[:-1], 2.0 * flux[-1])) / m
-    off = -flux[:-1] / np.sqrt(m[:-1] * m[1:])
+    shift = np.frexp(m.max())[1]
+    ms = np.ldexp(m, -shift)
+    off = -flux[:-1] / np.ldexp(np.sqrt(ms[:-1] * ms[1:]), shift)
     lam, psi = scipy.linalg.eigh_tridiagonal(diag, off)
     if lam[0] <= 0.0:
         raise EigendecompositionError("Dirichlet spectrum must be positive")
@@ -168,9 +175,12 @@ def _ball_operator(grid: Grid, gamma: float) -> SpectralOperator:
     res = psi * (diag[:, None] - lam)
     res[:-1] += off[:, None] * psi[1:]
     res[1:] += off[:, None] * psi[:-1]
+    res /= max(1.0, float(lam[-1]))
     worst = math.sqrt(float(np.max(np.einsum("ij,ij->j", res, res))))
-    if worst > _RESIDUAL_TOL * max(1.0, float(lam[-1])):
-        raise EigendecompositionError(f"eigenpair residual {worst:.3e} too large")
+    if worst > _RESIDUAL_TOL:
+        raise EigendecompositionError(
+            f"eigenpair residual {worst:.3e} relative to max(1, lambda_max) too large"
+        )
     psi /= np.sqrt(m)[:, None]
     psi.setflags(write=False)
     return SpectralOperator(grid, float(gamma), grid.bc, lam, _DenseBasis(psi, m))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fracsym
-from fracsym import compare
+from fracsym import cli, compare
 from fracsym.cli import main
 from fracsym.config import ConfigError, load_config
 
@@ -47,6 +47,8 @@ class TestConfig:
             "c=nan",
             "tol_constant=nan",
             "project_compatible=false",
+            f"n={10**30}",
+            f"n={10**309}",
             "y_samples=nan",
             "gamma=inf",
             "n=0",
@@ -187,6 +189,37 @@ class TestEllipticCommand:
         assert blobs[0] == blobs[1]
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            "length=1e-8",
+            "y_samples=0,1e8",
+            "n=16 length=1e100",
+            "n=16 length=1e150",
+            "n=16 length=1e-100",
+            "n=16 length=1e-150",
+        ],
+    )
+    def test_extreme_scales_get_a_verdict(self, tmp_path, overrides):
+        # the far tail of rho is 0, and the half ball's measures neither
+        # overflow nor underflow when multiplied
+        assert main(["elliptic-compare", f"out={tmp_path}", *overrides.split()]) == 0
+        assert json.loads((tmp_path / "elliptic_report.json").read_text())["verdict"] == "holds"
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matched_shells_make_the_interval_equality_exact(self, tmp_path, n):
+        # n/2 shells of one cell's measure each: cos(pi x) at gamma = 1/4
+        # holds to round-off, and gamma = 1/4 (1 + 1e-6) is violated
+        argv = ["elliptic-compare", f"out={tmp_path}", "domain=interval", f"n={n}",
+                "sigma=0.8", "source=eigenmode:1", "tol=1e-12"]
+        assert main(argv + ["gamma=0.25"]) == 0
+        report = json.loads((tmp_path / "elliptic_report.json").read_text())
+        assert report["params"]["ball_grid"]["n"] == [n // 2]
+        assert max(abs(x) for sl in report["per_y"] for x in sl["chi"]) <= 1e-12
+        assert main(argv + ["gamma=0.25000025"]) == 1
+
+
 class TestParabolicCommand:
     def test_runs_and_reports(self, tmp_path):
         code = main(
@@ -241,12 +274,27 @@ class TestParabolicCommand:
     def test_zero_steps_rejected(self, tmp_path):
         assert main(["parabolic-compare", f"out={tmp_path}", "steps=0"]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("length", ["1e100", "1e-100"])
+    def test_extreme_length_gets_a_verdict(self, tmp_path, length):
+        argv = ["parabolic-compare", f"out={tmp_path}", "n=16", f"length={length}", "steps=4"]
+        assert main(argv) == 0
+
 
 class TestExtensionCommand:
     def test_vanishing_length_is_config_error(self, tmp_path, capsys):
         # |Omega| underflows to 0: exit 2 naming length, not an inf/nan sweep
         assert main(["extension-check", f"out={tmp_path}", "n=16", "length=1e-200"]) == 2
         assert "length" in capsys.readouterr().err
+
+    def test_out_of_memory_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # numpy's MemoryError, raised here without allocating anything
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "_build_box", refuse)
+        assert main(["extension-check", f"out={tmp_path}", "n=100000,100000"]) == 3
+        assert "74.5 GiB" in capsys.readouterr().err
 
     def test_sweep(self, tmp_path):
         code = main(
