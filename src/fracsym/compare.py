@@ -7,9 +7,8 @@ than its radial counterpart:
 
     U(s, y) = int_0^s (w1* + w2*)  <=  V(s, y) = int_0^s xi*
 
-for s in [0, |Omega|/2].  Discretization noise is absorbed by a tolerance
-that an unset `tol` derives as _tolerance: 10 * h * scale, first order in
-the cell size, with scale the L2 norm of the data.
+for s in [0, |Omega|/2].  Discretization noise is absorbed by a tolerance,
+by default 10 * h * ||data||_2 (first order in the cell size h).
 """
 
 from __future__ import annotations
